@@ -30,6 +30,7 @@
 #include "opt/oracle.h"
 #include "sim/interpreter.h"
 #include "sim/microop.h"
+#include "support/percentile.h"
 
 using namespace tilus;
 using namespace tilus::bench;
@@ -171,10 +172,13 @@ main(int argc, char **argv)
     // RunOptions::profile == nullptr path every ctest and sweep takes)
     // against an armed run with a live ProfileCollector. The armed run
     // must leave byte-identical device contents — attribution only
-    // *observes* counters — and the disarmed path costs one pointer test
-    // per instruction, so the overhead ratio is reported for the record.
-    bool profile_identical = false;
-    double profile_disarmed_s = 0, profile_armed_s = 0;
+    // *observes* counters. Host timings are noisy and the first run of
+    // a back-to-back pair warms caches for the second, so the A/B runs
+    // kProfilePairs interleaved pairs, alternating which side goes
+    // first, and reports each side's median and interquartile range.
+    constexpr int kProfilePairs = 10;
+    bool profile_identical = true;
+    std::vector<double> disarmed_s, armed_s;
     {
         auto cfg = config(uint4(), 1);
         auto bundle = kernels::buildMatmul(cfg);
@@ -183,39 +187,57 @@ main(int argc, char **argv)
         oracle.scalars = {{"m", m}};
         oracle.device_bytes = 16 << 20;
 
-        sim::Device dev_plain(oracle.device_bytes);
-        auto t0 = Clock::now();
-        opt::runSeeded(kernel, oracle, dev_plain, sim::Engine::kAuto);
-        auto t1 = Clock::now();
-        profile_disarmed_s = std::chrono::duration<double>(t1 - t0).count();
-
-        sim::Device dev_armed(oracle.device_bytes);
-        obs::ProfileCollector collector(kernel);
-        auto t2 = Clock::now();
-        opt::runSeeded(kernel, oracle, dev_armed, sim::Engine::kAuto,
-                       &collector);
-        auto t3 = Clock::now();
-        profile_armed_s = std::chrono::duration<double>(t3 - t2).count();
-
-        profile_identical = opt::devicesIdentical(
-            dev_plain, dev_armed, oracle.device_bytes);
-        std::printf("\nprofiler A/B (%s): disarmed %.3fs armed %.3fs "
-                    "(overhead %.2fx), devices %s\n",
-                    cfg.name().c_str(), profile_disarmed_s,
-                    profile_armed_s,
-                    profile_armed_s / profile_disarmed_s,
-                    profile_identical ? "identical" : "DIVERGED");
+        auto timed = [&](sim::Device &device,
+                         obs::ProfileCollector *collector) {
+            auto t0 = Clock::now();
+            opt::runSeeded(kernel, oracle, device, sim::Engine::kAuto,
+                           collector);
+            return std::chrono::duration<double>(Clock::now() - t0)
+                .count();
+        };
+        for (int pair = 0; pair < kProfilePairs; ++pair) {
+            sim::Device dev_plain(oracle.device_bytes);
+            sim::Device dev_armed(oracle.device_bytes);
+            obs::ProfileCollector collector(kernel);
+            if (pair % 2 == 0) {
+                disarmed_s.push_back(timed(dev_plain, nullptr));
+                armed_s.push_back(timed(dev_armed, &collector));
+            } else {
+                armed_s.push_back(timed(dev_armed, &collector));
+                disarmed_s.push_back(timed(dev_plain, nullptr));
+            }
+            profile_identical =
+                profile_identical &&
+                opt::devicesIdentical(dev_plain, dev_armed,
+                                      oracle.device_bytes);
+        }
         if (!profile_identical)
             failed = true;
     }
+    const double profile_disarmed_s = percentile(disarmed_s, 50);
+    const double profile_armed_s = percentile(armed_s, 50);
+    const double profile_disarmed_iqr_s =
+        percentile(disarmed_s, 75) - percentile(disarmed_s, 25);
+    const double profile_armed_iqr_s =
+        percentile(armed_s, 75) - percentile(armed_s, 25);
+    std::printf("\nprofiler A/B (%d interleaved pairs): disarmed median "
+                "%.4fs (IQR %.4fs), armed median %.4fs (IQR %.4fs), "
+                "overhead %.2fx, devices %s\n",
+                kProfilePairs, profile_disarmed_s, profile_disarmed_iqr_s,
+                profile_armed_s, profile_armed_iqr_s,
+                profile_armed_s / profile_disarmed_s,
+                profile_identical ? "identical" : "DIVERGED");
 
     std::ostringstream json;
     json << "{\"bench\":\"interp\",\"build_info\":"
          << obs::buildInfoJson() << ",\"m\":" << m
          << ",\"profile_identical\":"
          << (profile_identical ? "true" : "false")
+         << ",\"profile_pairs\":" << kProfilePairs
          << ",\"profile_disarmed_s\":" << profile_disarmed_s
+         << ",\"profile_disarmed_iqr_s\":" << profile_disarmed_iqr_s
          << ",\"profile_armed_s\":" << profile_armed_s
+         << ",\"profile_armed_iqr_s\":" << profile_armed_iqr_s
          << ",\"profile_overhead\":"
          << profile_armed_s / profile_disarmed_s << ",\"runs\":[\n";
     for (size_t i = 0; i < rows.size(); ++i) {

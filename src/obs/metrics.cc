@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/trace.h"
 #include "support/logging.h"
 
 namespace tilus {
@@ -25,9 +26,7 @@ fmtDouble(double v)
                       static_cast<long long>(v));
         return buf;
     }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
+    return jsonNum(v);
 }
 
 void

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 
@@ -108,19 +107,14 @@ fmtDouble(double v)
 }
 
 std::string
-countersJson(const ProfileCounters &c)
+countersJson(const sim::Counters &c)
 {
     std::string o = "{";
-    bool first = true;
-#define TILUS_PROFILE_FIELD(f)                                           \
-    if (!first)                                                          \
-        o += ',';                                                        \
-    first = false;                                                       \
-    o += "\"" #f "\":";                                                  \
-    o += std::to_string(c.f);
-    TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-    o += '}';
+#define TILUS_COUNTER_JSON(f)                                            \
+    o += "\"" #f "\":" + std::to_string(c.f) + ",";
+    TILUS_SIM_COUNTERS(TILUS_COUNTER_JSON)
+#undef TILUS_COUNTER_JSON
+    o.back() = '}';
     return o;
 }
 
@@ -167,341 +161,6 @@ quoted(const std::string &s)
     return "\"" + jsonEscape(s) + "\"";
 }
 
-// ------------------------------------------------------------------
-// A minimal JSON reader, just enough to round-trip toJson() documents
-// (and reject malformed ones): objects, arrays, strings with the
-// escapes jsonEscape emits, numbers, booleans, null.
-// ------------------------------------------------------------------
-
-struct JsonValue
-{
-    enum Kind
-    {
-        kNull,
-        kBool,
-        kInt,
-        kDouble,
-        kString,
-        kArray,
-        kObject
-    };
-    Kind kind = kNull;
-    bool b = false;
-    int64_t i = 0;
-    double d = 0;
-    std::string s;
-    std::vector<JsonValue> arr;
-    std::vector<std::pair<std::string, JsonValue>> obj;
-
-    const JsonValue *
-    get(const char *key) const
-    {
-        for (const auto &[k, v] : obj)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-
-    double
-    num() const
-    {
-        return kind == kInt ? static_cast<double>(i) : d;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        skipWs();
-        if (!parseValue(out))
-            return false;
-        skipWs();
-        return pos_ == text_.size();
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return false;
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (pos_ + 4 > text_.size())
-                        return false;
-                    unsigned code = 0;
-                    for (int k = 0; k < 4; ++k) {
-                        char h = text_[pos_++];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return false;
-                    }
-                    // jsonEscape only emits \u00XX for control bytes.
-                    if (code > 0xFF)
-                        return false;
-                    out += static_cast<char>(code);
-                    break;
-                  }
-                  default: return false;
-                }
-            } else {
-                out += c;
-            }
-        }
-        return false; // unterminated
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        size_t start = pos_;
-        bool is_double = false;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                is_double = true;
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        if (pos_ == start)
-            return false;
-        std::string token = text_.substr(start, pos_ - start);
-        if (is_double) {
-            out.kind = JsonValue::kDouble;
-            out.d = std::strtod(token.c_str(), nullptr);
-        } else {
-            out.kind = JsonValue::kInt;
-            out.i = std::strtoll(token.c_str(), nullptr, 10);
-        }
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return false;
-        char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::kObject;
-            skipWs();
-            if (consume('}'))
-                return true;
-            for (;;) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return false;
-                JsonValue value;
-                if (!parseValue(value))
-                    return false;
-                out.obj.emplace_back(std::move(key), std::move(value));
-                if (consume(','))
-                    continue;
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::kArray;
-            skipWs();
-            if (consume(']'))
-                return true;
-            for (;;) {
-                JsonValue value;
-                if (!parseValue(value))
-                    return false;
-                out.arr.push_back(std::move(value));
-                if (consume(','))
-                    continue;
-                return consume(']');
-            }
-        }
-        if (c == '"') {
-            out.kind = JsonValue::kString;
-            return parseString(out.s);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::kBool;
-            out.b = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::kBool;
-            out.b = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out.kind = JsonValue::kNull;
-            return literal("null");
-        }
-        return parseNumber(out);
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
-
-bool
-readInt(const JsonValue *v, int64_t &out)
-{
-    if (!v || v->kind != JsonValue::kInt)
-        return false;
-    out = v->i;
-    return true;
-}
-
-bool
-readDouble(const JsonValue *v, double &out)
-{
-    if (!v ||
-        (v->kind != JsonValue::kDouble && v->kind != JsonValue::kInt))
-        return false;
-    out = v->num();
-    return true;
-}
-
-bool
-readBool(const JsonValue *v, bool &out)
-{
-    if (!v || v->kind != JsonValue::kBool)
-        return false;
-    out = v->b;
-    return true;
-}
-
-bool
-readString(const JsonValue *v, std::string &out)
-{
-    if (!v || v->kind != JsonValue::kString)
-        return false;
-    out = v->s;
-    return true;
-}
-
-bool
-readCounters(const JsonValue *v, ProfileCounters &c)
-{
-    if (!v || v->kind != JsonValue::kObject)
-        return false;
-#define TILUS_PROFILE_FIELD(f)                                           \
-    if (!readInt(v->get(#f), c.f))                                       \
-        return false;
-    TILUS_PROFILE_COUNTERS(TILUS_PROFILE_FIELD)
-#undef TILUS_PROFILE_FIELD
-    return true;
-}
-
-bool
-readComponents(const JsonValue *v, ComponentUs &c)
-{
-    if (!v || v->kind != JsonValue::kObject)
-        return false;
-    return readDouble(v->get("alu_us"), c.alu_us) &&
-           readDouble(v->get("dram_us"), c.dram_us) &&
-           readDouble(v->get("l2_us"), c.l2_us) &&
-           readDouble(v->get("serial_us"), c.serial_us) &&
-           readDouble(v->get("simt_us"), c.simt_us) &&
-           readDouble(v->get("smem_us"), c.smem_us) &&
-           readDouble(v->get("tc_us"), c.tc_us);
-}
-
-bool
-readLatency(const JsonValue *v, sim::LatencyBreakdown &l)
-{
-    if (!v || v->kind != JsonValue::kObject)
-        return false;
-    return readDouble(v->get("alu_us"), l.alu_us) &&
-           readInt(v->get("blocks"), l.blocks) &&
-           readDouble(v->get("dram_us"), l.dram_us) &&
-           readDouble(v->get("l2_us"), l.l2_us) &&
-           readDouble(v->get("launch_us"), l.launch_us) &&
-           readDouble(v->get("occupancy_blocks_per_sm"),
-                      l.occupancy_blocks_per_sm) &&
-           readBool(v->get("pipelined"), l.pipelined) &&
-           readDouble(v->get("serial_us"), l.serial_us) &&
-           readDouble(v->get("simt_us"), l.simt_us) &&
-           readDouble(v->get("smem_us"), l.smem_us) &&
-           readDouble(v->get("tc_us"), l.tc_us) &&
-           readDouble(v->get("total_us"), l.total_us);
-}
-
-std::optional<Region>
-regionFromName(const std::string &name)
-{
-    for (int r = 0; r < kNumRegions; ++r)
-        if (name == regionName(static_cast<Region>(r)))
-            return static_cast<Region>(r);
-    return std::nullopt;
-}
-
 } // namespace
 
 const char *
@@ -528,19 +187,6 @@ boundName(Bound bound)
       case Bound::kSerialization: return "serialization";
     }
     return "dram";
-}
-
-std::optional<Bound>
-boundFromName(const std::string &name)
-{
-    static const Bound all[] = {
-        Bound::kDram, Bound::kL2,   Bound::kTensorCore,    Bound::kSimt,
-        Bound::kAlu,  Bound::kSmem, Bound::kSerialization,
-    };
-    for (Bound b : all)
-        if (name == boundName(b))
-            return b;
-    return std::nullopt;
 }
 
 Bound
@@ -626,86 +272,6 @@ KernelProfile::toJson() const
     return o;
 }
 
-std::optional<KernelProfile>
-KernelProfile::fromJson(const std::string &json)
-{
-    JsonValue root;
-    if (!JsonParser(json).parse(root) ||
-        root.kind != JsonValue::kObject)
-        return std::nullopt;
-
-    KernelProfile p;
-    std::string bound_name;
-    if (!readDouble(root.get("arith_intensity"), p.arith_intensity) ||
-        !readInt(root.get("blocks_profiled"), p.blocks_profiled) ||
-        !readString(root.get("bound"), bound_name) ||
-        !readString(root.get("engine"), p.engine) ||
-        !readString(root.get("kernel"), p.kernel) ||
-        !readLatency(root.get("latency"), p.latency) ||
-        !readBool(root.get("memory_bound"), p.memory_bound) ||
-        !readDouble(root.get("ridge_flops_per_byte"),
-                    p.ridge_flops_per_byte) ||
-        !readCounters(root.get("totals"), p.totals))
-        return std::nullopt;
-    std::optional<Bound> bound = boundFromName(bound_name);
-    if (!bound)
-        return std::nullopt;
-    p.bound = *bound;
-
-    const JsonValue *instrs = root.get("instructions");
-    if (!instrs || instrs->kind != JsonValue::kArray)
-        return std::nullopt;
-    for (const JsonValue &v : instrs->arr) {
-        if (v.kind != JsonValue::kObject)
-            return std::nullopt;
-        InstrProfile instr;
-        int64_t id = 0;
-        std::string region_name;
-        double est_us = 0; // derived; parsed only to validate presence
-        if (!readComponents(v.get("components"), instr.components) ||
-            !readCounters(v.get("counters"), instr.counters) ||
-            !readDouble(v.get("est_us"), est_us) ||
-            !readInt(v.get("executions"), instr.executions) ||
-            !readInt(v.get("id"), id) ||
-            !readString(v.get("opcode"), instr.opcode) ||
-            !readString(v.get("region"), region_name))
-            return std::nullopt;
-        instr.id = static_cast<int>(id);
-        std::optional<Region> region = regionFromName(region_name);
-        if (!region)
-            return std::nullopt;
-        instr.region = *region;
-        p.instructions.push_back(std::move(instr));
-    }
-
-    const JsonValue *regs = root.get("regions");
-    if (!regs || regs->kind != JsonValue::kArray ||
-        regs->arr.size() != static_cast<size_t>(kNumRegions))
-        return std::nullopt;
-    for (int r = 0; r < kNumRegions; ++r) {
-        const JsonValue &v = regs->arr[static_cast<size_t>(r)];
-        if (v.kind != JsonValue::kObject)
-            return std::nullopt;
-        RegionProfile reg;
-        std::string reg_bound, region_name;
-        if (!readString(v.get("bound"), reg_bound) ||
-            !readComponents(v.get("components"), reg.components) ||
-            !readCounters(v.get("counters"), reg.counters) ||
-            !readInt(v.get("executions"), reg.executions) ||
-            !readInt(v.get("instructions"), reg.instructions) ||
-            !readString(v.get("region"), region_name))
-            return std::nullopt;
-        std::optional<Bound> rb = boundFromName(reg_bound);
-        std::optional<Region> rr = regionFromName(region_name);
-        if (!rb || !rr || *rr != static_cast<Region>(r))
-            return std::nullopt;
-        reg.bound = *rb;
-        reg.region = *rr;
-        p.regions[static_cast<size_t>(r)] = std::move(reg);
-    }
-    return p;
-}
-
 // ------------------------------------------------------------------
 // ProfileCollector
 // ------------------------------------------------------------------
@@ -776,10 +342,10 @@ ProfileCollector::ProfileCollector(const lir::Kernel &kernel)
     walk(kernel.body);
 }
 
-ProfileCounters
+sim::Counters
 ProfileCollector::attributedTotals() const
 {
-    ProfileCounters total;
+    sim::Counters total;
     for (const InstrProfile &row : rows_)
         total.add(row.counters);
     return total;
@@ -814,65 +380,41 @@ ProfileCollector::finish(const sim::SimStats &block_stats,
     out.memory_bound = out.arith_intensity < out.ridge_flops_per_byte;
 
     // ---- Attribute each LatencyBreakdown component over instructions.
-    // Weights mirror sim/timing.cc: an instruction's share of a
-    // component equals its share of the counters that component's cost
-    // formula consumes. cp_async_bytes are already included in
-    // global_load_bytes at issue, so the memory weight must not add
-    // them twice.
-    auto mem_w = [](const ProfileCounters &c) {
+    // An instruction's share of a component equals its share of that
+    // component's weight in sim/timing.h. The DRAM/L2 model prices
+    // per-tensor traffic, which has no per-instruction split, so memory
+    // is shared by global bytes; cp_async_bytes are already included
+    // in global_load_bytes at issue and must not count twice.
+    auto mem_w = [](const sim::Counters &c) {
         return static_cast<double>(c.global_load_bytes +
                                    c.global_store_bytes);
-    };
-    auto tc_w = [](const ProfileCounters &c) {
-        return static_cast<double>(c.mma_flops);
-    };
-    auto simt_w = [](const ProfileCounters &c) {
-        return static_cast<double>(c.simt_fma);
-    };
-    auto alu_w = [](const ProfileCounters &c) {
-        return static_cast<double>(c.alu_elt_ops) +
-               1.0 * static_cast<double>(c.cast_vec_elems) +
-               6.0 * static_cast<double>(c.cast_scalar_elems) +
-               4.0 * static_cast<double>(c.bit_extract_ops) +
-               2.0 * static_cast<double>(c.ldg_ops + c.stg_ops);
-    };
-    auto smem_w = [](const ProfileCounters &c) {
-        return static_cast<double>(c.smem_load_bytes +
-                                   c.smem_store_bytes);
-    };
-    auto sync_w = [](const ProfileCounters &c) {
-        return static_cast<double>(c.bar_syncs + c.cp_commits);
     };
 
     double mem_total = 0, tc_total = 0, simt_total = 0, alu_total = 0,
            smem_total = 0, sync_total = 0;
     for (const InstrProfile &row : out.instructions) {
         mem_total += mem_w(row.counters);
-        tc_total += tc_w(row.counters);
-        simt_total += simt_w(row.counters);
-        alu_total += alu_w(row.counters);
-        smem_total += smem_w(row.counters);
-        sync_total += sync_w(row.counters);
+        tc_total += sim::tcFlops(row.counters);
+        simt_total += sim::simtFma(row.counters);
+        alu_total += sim::aluOps(row.counters);
+        smem_total += sim::smemBytes(row.counters);
+        sync_total += sim::syncEvents(row.counters);
     }
 
-    // Serialized time splits into the synchronization term (0.01 µs per
-    // bar.sync / commit, attributable per instruction) and the
+    // Serialized time splits into the synchronization term (kSyncUs
+    // per bar.sync / commit, attributable per instruction) and the
     // structural round-trip / pipeline-fill term, which belongs to the
     // main loop as a whole rather than to any one instruction.
     const double waves =
-        std::ceil(static_cast<double>(out.latency.blocks) /
-                  std::max(1.0, out.latency.occupancy_blocks_per_sm *
-                                    spec.num_sms));
+        sim::waveCount(out.latency.blocks,
+                       out.latency.occupancy_blocks_per_sm, spec);
     double sync_us =
-        0.01 *
-        static_cast<double>(block_stats.bar_syncs +
-                            block_stats.cp_commits) *
-        waves;
+        sim::kSyncUs * sim::syncEvents(block_stats) * waves;
     sync_us = std::min(sync_us, out.latency.serial_us);
     const double structural_serial_us = out.latency.serial_us - sync_us;
 
     for (InstrProfile &row : out.instructions) {
-        const ProfileCounters &c = row.counters;
+        const sim::Counters &c = row.counters;
         if (mem_total > 0) {
             row.components.dram_us =
                 out.latency.dram_us * mem_w(c) / mem_total;
@@ -881,18 +423,19 @@ ProfileCollector::finish(const sim::SimStats &block_stats,
         }
         if (tc_total > 0)
             row.components.tc_us =
-                out.latency.tc_us * tc_w(c) / tc_total;
+                out.latency.tc_us * sim::tcFlops(c) / tc_total;
         if (simt_total > 0)
             row.components.simt_us =
-                out.latency.simt_us * simt_w(c) / simt_total;
+                out.latency.simt_us * sim::simtFma(c) / simt_total;
         if (alu_total > 0)
             row.components.alu_us =
-                out.latency.alu_us * alu_w(c) / alu_total;
+                out.latency.alu_us * sim::aluOps(c) / alu_total;
         if (smem_total > 0)
             row.components.smem_us =
-                out.latency.smem_us * smem_w(c) / smem_total;
+                out.latency.smem_us * sim::smemBytes(c) / smem_total;
         if (sync_total > 0)
-            row.components.serial_us = sync_us * sync_w(c) / sync_total;
+            row.components.serial_us =
+                sync_us * sim::syncEvents(c) / sync_total;
     }
 
     // ---- Region rollups and classification.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -10,18 +9,6 @@
 
 namespace tilus {
 namespace obs {
-
-namespace {
-
-std::string
-fmtNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-} // namespace
 
 TimeSeries::TimeSeries(double window_ms) : window_ms_(window_ms)
 {
@@ -185,12 +172,12 @@ TimeSeries::toJson() const
         return oss.str();
     }
     const int64_t n = windows();
-    oss << "{\"window_ms\":" << fmtNum(window_ms_)
+    oss << "{\"window_ms\":" << jsonNum(window_ms_)
         << ",\"windows\":" << n;
     for (int ch = 0; ch < channelCount(); ++ch) {
         oss << ",\"" << names_[static_cast<size_t>(ch)] << "\":[";
         for (int64_t w = 0; w < n; ++w)
-            oss << (w ? "," : "") << fmtNum(value(ch, w));
+            oss << (w ? "," : "") << jsonNum(value(ch, w));
         oss << "]";
     }
     oss << "}";

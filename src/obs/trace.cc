@@ -75,6 +75,14 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::string
+jsonNum(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+}
+
 // ----------------------------------------------------------------- Args
 
 Args &
@@ -113,12 +121,10 @@ Args::add(const char *key, double value)
 {
     if (!body_.empty())
         body_ += ',';
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
     body_ += '"';
     body_ += jsonEscape(key);
     body_ += "\":";
-    body_ += buf;
+    body_ += jsonNum(value);
     return *this;
 }
 

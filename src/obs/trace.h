@@ -47,6 +47,9 @@ namespace obs {
 /** Escape a string for a JSON string literal (no surrounding quotes). */
 std::string jsonEscape(const std::string &s);
 
+/** A number as the JSON dumps print it: "%.6g". */
+std::string jsonNum(double v);
+
 /** A small builder for a trace event's "args" object. */
 class Args
 {

@@ -1,11 +1,27 @@
 #include "serving/metrics.h"
 
 #include <algorithm>
+#include <sstream>
 
+#include "obs/trace.h"
 #include "support/error.h"
 
 namespace tilus {
 namespace serving {
+
+namespace {
+
+void
+appendSummary(std::ostringstream &oss, const char *key,
+              const LatencySummary &s)
+{
+    oss << "\"" << key << "\":{\"mean\":" << obs::jsonNum(s.mean)
+        << ",\"p50\":" << obs::jsonNum(s.p50)
+        << ",\"p95\":" << obs::jsonNum(s.p95)
+        << ",\"p99\":" << obs::jsonNum(s.p99) << "}";
+}
+
+} // namespace
 
 LatencySummary
 summarizeSketch(const obs::QuantileSketch &sketch)
@@ -108,11 +124,11 @@ std::string
 ServingReport::toJson() const
 {
     std::ostringstream oss;
-    oss << "{\"scheduler\":\"" << detail::jsonStr(scheduler)
-        << "\",\"system\":\"" << detail::jsonStr(system)
-        << "\",\"model\":\"" << detail::jsonStr(model)
-        << "\",\"wdtype\":\"" << detail::jsonStr(wdtype)
-        << "\",\"rate_rps\":" << detail::jsonNum(rate_rps)
+    oss << "{\"scheduler\":\"" << obs::jsonEscape(scheduler)
+        << "\",\"system\":\"" << obs::jsonEscape(system)
+        << "\",\"model\":\"" << obs::jsonEscape(model)
+        << "\",\"wdtype\":\"" << obs::jsonEscape(wdtype)
+        << "\",\"rate_rps\":" << obs::jsonNum(rate_rps)
         << ",\"seed\":" << seed << ",\"total_requests\":" << total_requests
         << ",\"completed\":" << completed << ",\"rejected\":" << rejected
         << ",\"failed\":" << failed << ",\"retries\":" << retries
@@ -123,26 +139,26 @@ ServingReport::toJson() const
         << ",\"prefill_steps\":" << prefill_steps
         << ",\"decode_steps\":" << decode_steps
         << ",\"preemptions\":" << preemptions
-        << ",\"makespan_ms\":" << detail::jsonNum(makespan_ms)
-        << ",\"throughput_tok_s\":" << detail::jsonNum(throughput_tok_s)
-        << ",\"request_per_s\":" << detail::jsonNum(request_per_s)
-        << ",\"goodput_req_s\":" << detail::jsonNum(goodput_req_s)
-        << ",\"availability\":" << detail::jsonNum(availability) << ",";
-    detail::appendSummary(oss, "ttft_ms", ttft);
+        << ",\"makespan_ms\":" << obs::jsonNum(makespan_ms)
+        << ",\"throughput_tok_s\":" << obs::jsonNum(throughput_tok_s)
+        << ",\"request_per_s\":" << obs::jsonNum(request_per_s)
+        << ",\"goodput_req_s\":" << obs::jsonNum(goodput_req_s)
+        << ",\"availability\":" << obs::jsonNum(availability) << ",";
+    appendSummary(oss, "ttft_ms", ttft);
     oss << ",";
-    detail::appendSummary(oss, "tpot_ms", tpot);
+    appendSummary(oss, "tpot_ms", tpot);
     oss << ",";
-    detail::appendSummary(oss, "latency_ms", latency);
+    appendSummary(oss, "latency_ms", latency);
     oss << ",";
-    detail::appendSummary(oss, "queue_wait_ms", queue_wait);
-    oss << ",\"mean_queue_depth\":" << detail::jsonNum(mean_queue_depth)
+    appendSummary(oss, "queue_wait_ms", queue_wait);
+    oss << ",\"mean_queue_depth\":" << obs::jsonNum(mean_queue_depth)
         << ",\"max_queue_depth\":" << max_queue_depth
-        << ",\"mean_decode_batch\":" << detail::jsonNum(mean_decode_batch)
+        << ",\"mean_decode_batch\":" << obs::jsonNum(mean_decode_batch)
         << ",\"kv_page_tokens\":" << kv_page_tokens
         << ",\"kv_capacity_tokens\":" << kv_capacity_tokens
-        << ",\"mean_kv_used_tokens\":" << detail::jsonNum(mean_kv_used_tokens)
+        << ",\"mean_kv_used_tokens\":" << obs::jsonNum(mean_kv_used_tokens)
         << ",\"peak_kv_used_tokens\":" << peak_kv_used_tokens
-        << ",\"mean_kv_used_frac\":" << detail::jsonNum(mean_kv_used_frac)
+        << ",\"mean_kv_used_frac\":" << obs::jsonNum(mean_kv_used_frac)
         << ",\"batch_histogram\":[";
     for (size_t i = 0; i < batch_histogram.size(); ++i)
         oss << (i ? "," : "") << batch_histogram[i];

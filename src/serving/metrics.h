@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -162,52 +160,6 @@ struct ServingReport
 
     std::string toJson() const;
 };
-
-namespace detail {
-
-inline std::string
-jsonNum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-/** Escape a free-form identity string for a JSON string literal. */
-inline std::string
-jsonStr(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-inline void
-appendSummary(std::ostringstream &oss, const char *key,
-              const LatencySummary &s)
-{
-    oss << "\"" << key << "\":{\"mean\":" << jsonNum(s.mean)
-        << ",\"p50\":" << jsonNum(s.p50) << ",\"p95\":" << jsonNum(s.p95)
-        << ",\"p99\":" << jsonNum(s.p99) << "}";
-}
-
-} // namespace detail
 
 /**
  * The incremental metric accumulator the simulator event loop feeds:

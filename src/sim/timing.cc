@@ -49,8 +49,7 @@ estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
     out.occupancy_blocks_per_sm = bps;
     const double concurrent =
         std::min<double>(static_cast<double>(blocks), bps * spec.num_sms);
-    const double waves = std::ceil(static_cast<double>(blocks) /
-                                   std::max(1.0, bps * spec.num_sms));
+    const double waves = waveCount(blocks, bps, spec);
 
     // ---- Memory: unique bytes at DRAM, re-reads at L2 ------------------
     double dram_bytes = 0, l2_bytes = 0;
@@ -80,22 +79,14 @@ estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
     const double compute_frac = std::min(
         1.0, concurrent / static_cast<double>(spec.num_sms));
     const double cf = std::max(compute_frac, 0.05);
-    out.tc_us = static_cast<double>(block_stats.mma_flops) * blocks /
+    out.tc_us = tcFlops(block_stats) * blocks /
                 (spec.fp16_tc_tflops * 1e12 * cf) * 1e6;
-    out.simt_us = static_cast<double>(block_stats.simt_fma) * 2 * blocks /
+    out.simt_us = simtFma(block_stats) * 2 * blocks /
                   (spec.fp32_tflops * 1e12 * cf) * 1e6;
-    const double alu_ops =
-        static_cast<double>(block_stats.alu_elt_ops) +
-        1.0 * static_cast<double>(block_stats.cast_vec_elems) +
-        6.0 * static_cast<double>(block_stats.cast_scalar_elems) +
-        4.0 * static_cast<double>(block_stats.bit_extract_ops) +
-        2.0 * static_cast<double>(block_stats.ldg_ops +
-                                  block_stats.stg_ops);
-    out.alu_us =
-        alu_ops * blocks / (spec.alu_topsps * 1e12 * cf) * 1e6;
-    out.smem_us = static_cast<double>(block_stats.smem_load_bytes +
-                                      block_stats.smem_store_bytes) *
-                  blocks / (spec.smem_gbps * 1e9 * cf) * 1e6;
+    out.alu_us = aluOps(block_stats) * blocks /
+                 (spec.alu_topsps * 1e12 * cf) * 1e6;
+    out.smem_us = smemBytes(block_stats) * blocks /
+                  (spec.smem_gbps * 1e9 * cf) * 1e6;
     // Tensor cores and the ALU/LSU pipes dual-issue; the slower pipe
     // bounds the kernel's compute time.
     const double t_comp =
@@ -121,9 +112,7 @@ estimateLatency(const lir::Kernel &kernel, const SimStats &block_stats,
         per_block_serial_us +=
             spec.dram_latency_us * block_stats.max_groups_in_flight;
     }
-    per_block_serial_us +=
-        0.01 * static_cast<double>(block_stats.bar_syncs +
-                                   block_stats.cp_commits);
+    per_block_serial_us += kSyncUs * syncEvents(block_stats);
     out.serial_us = per_block_serial_us * waves;
 
     // ---- Combine ---------------------------------------------------------

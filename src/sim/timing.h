@@ -21,6 +21,9 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "ir/expr.h"
 #include "lir/lir.h"
 #include "sim/gpu_spec.h"
@@ -59,6 +62,65 @@ struct LatencyBreakdown
     int64_t blocks = 0;
     double occupancy_blocks_per_sm = 0;
 };
+
+/// @name Cost-component weights over the additive counters.
+/// estimateLatency prices each component from these; the kernel
+/// profiler splits each component across instructions in proportion
+/// to the same weights, so the two cannot drift apart.
+/// @{
+
+/** Tensor-core flops (tc_us). */
+inline double
+tcFlops(const Counters &c)
+{
+    return static_cast<double>(c.mma_flops);
+}
+
+/** CUDA-core fused multiply-adds (simt_us; 2 flops each). */
+inline double
+simtFma(const Counters &c)
+{
+    return static_cast<double>(c.simt_fma);
+}
+
+/** ALU-weighted op count (alu_us): element ops and vectorized casts
+    cost 1, scalar casts 6, sub-byte bit extracts 4, and every global
+    load/store instruction 2 for its address arithmetic. */
+inline double
+aluOps(const Counters &c)
+{
+    return static_cast<double>(c.alu_elt_ops) +
+           1.0 * static_cast<double>(c.cast_vec_elems) +
+           6.0 * static_cast<double>(c.cast_scalar_elems) +
+           4.0 * static_cast<double>(c.bit_extract_ops) +
+           2.0 * static_cast<double>(c.ldg_ops + c.stg_ops);
+}
+
+/** Shared-memory bytes moved (smem_us). */
+inline double
+smemBytes(const Counters &c)
+{
+    return static_cast<double>(c.smem_load_bytes + c.smem_store_bytes);
+}
+
+/** Synchronization events: barriers and cp.async commits. */
+inline double
+syncEvents(const Counters &c)
+{
+    return static_cast<double>(c.bar_syncs + c.cp_commits);
+}
+
+/** Serialized microseconds each synchronization event costs a block. */
+constexpr double kSyncUs = 0.01;
+/// @}
+
+/** Number of waves @p blocks take at @p blocks_per_sm on @p spec. */
+inline double
+waveCount(int64_t blocks, double blocks_per_sm, const GpuSpec &spec)
+{
+    return std::ceil(static_cast<double>(blocks) /
+                     std::max(1.0, blocks_per_sm * spec.num_sms));
+}
 
 /**
  * Estimate a kernel's latency on `spec` from one block's traced stats.

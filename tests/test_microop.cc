@@ -246,28 +246,11 @@ TEST(MicroOpDecode, AffineDecomposition)
 void
 expectStatsEqual(const sim::SimStats &a, const sim::SimStats &b)
 {
-    EXPECT_EQ(a.global_load_bytes, b.global_load_bytes);
-    EXPECT_EQ(a.global_store_bytes, b.global_store_bytes);
-    EXPECT_EQ(a.cp_async_bytes, b.cp_async_bytes);
-    EXPECT_EQ(a.global_sectors, b.global_sectors);
-    EXPECT_EQ(a.ldg_ops, b.ldg_ops);
-    EXPECT_EQ(a.stg_ops, b.stg_ops);
-    EXPECT_EQ(a.bit_extract_ops, b.bit_extract_ops);
+#define TILUS_COUNTER_EQ(f) EXPECT_EQ(a.f, b.f) << #f;
+    TILUS_SIM_COUNTERS(TILUS_COUNTER_EQ)
+#undef TILUS_COUNTER_EQ
     EXPECT_EQ(a.load_bytes_by_global, b.load_bytes_by_global);
     EXPECT_EQ(a.store_bytes_by_global, b.store_bytes_by_global);
-    EXPECT_EQ(a.smem_load_bytes, b.smem_load_bytes);
-    EXPECT_EQ(a.smem_store_bytes, b.smem_store_bytes);
-    EXPECT_EQ(a.lds_ops, b.lds_ops);
-    EXPECT_EQ(a.sts_ops, b.sts_ops);
-    EXPECT_EQ(a.ldmatrix_ops, b.ldmatrix_ops);
-    EXPECT_EQ(a.mma_ops, b.mma_ops);
-    EXPECT_EQ(a.mma_flops, b.mma_flops);
-    EXPECT_EQ(a.simt_fma, b.simt_fma);
-    EXPECT_EQ(a.alu_elt_ops, b.alu_elt_ops);
-    EXPECT_EQ(a.cast_vec_elems, b.cast_vec_elems);
-    EXPECT_EQ(a.cast_scalar_elems, b.cast_scalar_elems);
-    EXPECT_EQ(a.bar_syncs, b.bar_syncs);
-    EXPECT_EQ(a.cp_commits, b.cp_commits);
     EXPECT_EQ(a.max_groups_in_flight, b.max_groups_in_flight);
     EXPECT_EQ(a.overlapped, b.overlapped);
 }
