@@ -97,8 +97,10 @@ main(int argc, char **argv)
     // user's ~/.cache/tilus is never polluted by bench artifacts. Must
     // happen before anything touches the process-wide cache instances.
     const std::string cache_dir =
-        "/tmp/tilus_bench_compile_" +
-        std::to_string(static_cast<long>(::getpid()));
+        (std::filesystem::temp_directory_path() /
+         ("tilus_bench_compile_" +
+          std::to_string(static_cast<long>(::getpid()))))
+            .string();
     ::setenv("TILUS_CACHE_DIR", cache_dir.c_str(), 1);
     ::setenv("TILUS_CACHE", "on", 1);
 
@@ -174,12 +176,14 @@ main(int argc, char **argv)
     const std::vector<int64_t> decode_batches = {16};
     const std::vector<int64_t> prefill_chunks = {256};
     double engine_cold_ms, engine_warm_ms;
+    int engine_cold_compiles, engine_warm_compiles;
     {
         runtime::Runtime rt(spec);
         llm::ServingEngine engine(rt, model, eopts);
         double start = nowMs();
         engine.warmUp(decode_batches, prefill_chunks);
         engine_cold_ms = nowMs() - start;
+        engine_cold_compiles = rt.compileCount();
     }
     {
         runtime::Runtime rt(spec);
@@ -187,13 +191,16 @@ main(int argc, char **argv)
         double start = nowMs();
         engine.warmUp(decode_batches, prefill_chunks);
         engine_warm_ms = nowMs() - start;
+        engine_warm_compiles = rt.compileCount();
     }
     const double engine_speedup = engine_cold_ms / engine_warm_ms;
     std::printf("\nllm::Engine tune pass (%s, u4, decode 16 + prefill "
                 "256):\n",
                 model.name.c_str());
-    std::printf("  cold: %10.1f ms\n", engine_cold_ms);
-    std::printf("  warm: %10.1f ms  -> %s\n", engine_warm_ms,
+    std::printf("  cold: %10.1f ms  (%d kernels compiled)\n",
+                engine_cold_ms, engine_cold_compiles);
+    std::printf("  warm: %10.1f ms  (%d kernels compiled) -> %s\n",
+                engine_warm_ms, engine_warm_compiles,
                 fmtSpeedup(engine_speedup).c_str());
 
     const cache::CacheStats kstats =
@@ -225,6 +232,8 @@ main(int argc, char **argv)
          << ",\"engine_tune\":{\"model\":\"" << model.name << "\""
          << ",\"cold_ms\":" << engine_cold_ms
          << ",\"warm_ms\":" << engine_warm_ms
+         << ",\"cold_compiles\":" << engine_cold_compiles
+         << ",\"warm_compiles\":" << engine_warm_compiles
          << ",\"speedup\":" << engine_speedup << "}"
          << ",\"kernel_artifacts_stored\":" << kstats.stores
          << ",\"tune_records_stored\":" << tstats.stores << "}\n";

@@ -54,16 +54,6 @@ andPred(Expr acc, Expr term)
     return makeBinary(BinaryOp::kAnd, std::move(acc), std::move(term));
 }
 
-/** Per-thread logical->slot map for one thread of a layout. */
-std::map<std::vector<int64_t>, int64_t>
-buildSlotMap(const Layout &layout, int64_t thread)
-{
-    std::map<std::vector<int64_t>, int64_t> map;
-    for (int64_t i = 0; i < layout.localsPerThread(); ++i)
-        map[layout.logicalIndexOf(thread, i)] = i;
-    return map;
-}
-
 class Lowering
 {
   public:
@@ -460,19 +450,20 @@ Lowering::lowerInst(const Instruction &inst)
         if (!(node.b->layout.equivalent(node.a->layout))) {
             // Broadcast: each a-slot's index, projected onto b's unit
             // dims, must be resident in the same thread for every thread.
-            const Layout &la = node.a->layout;
-            const Layout &lb = node.b->layout;
-            int64_t locals = la.localsPerThread();
+            const SlotTable ta(node.a->layout);
+            const SlotTable tb(node.b->layout);
+            const std::vector<int64_t> &b_shape = node.b->layout.shape();
+            const int64_t locals = ta.localsPerThread();
+            std::vector<int64_t> idx(b_shape.size());
             slot_map.resize(locals);
-            for (int64_t t = 0; t < la.numThreads(); ++t) {
-                auto bmap = buildSlotMap(lb, t);
+            for (int64_t t = 0; t < ta.numThreads(); ++t) {
                 for (int64_t i = 0; i < locals; ++i) {
-                    auto idx = la.logicalIndexOf(t, i);
                     for (size_t d = 0; d < idx.size(); ++d)
-                        if (lb.shape()[d] == 1)
-                            idx[d] = 0;
-                    auto it = bmap.find(idx);
-                    if (it == bmap.end()) {
+                        idx[d] = b_shape[d] == 1
+                                     ? 0
+                                     : ta.logical(t, i, static_cast<int>(d));
+                    const int64_t slot = tb.slotIn(t, idx.data());
+                    if (slot < 0) {
                         throw CompileError(
                             "Binary broadcast: thread " +
                             std::to_string(t) +
@@ -480,9 +471,8 @@ Lowering::lowerInst(const Instruction &inst)
                             node.b->name + "'");
                     }
                     if (t == 0) {
-                        slot_map[i] = static_cast<int32_t>(it->second);
-                    } else if (slot_map[i] !=
-                               static_cast<int32_t>(it->second)) {
+                        slot_map[i] = static_cast<int32_t>(slot);
+                    } else if (slot_map[i] != static_cast<int32_t>(slot)) {
                         throw CompileError(
                             "Binary broadcast: slot mapping is not "
                             "thread-uniform for '" +
@@ -799,6 +789,7 @@ Lowering::tryLowerMmaDot(const DotInst &inst)
         const int64_t k_tiles = inst.a->shape()[1] / cand.k;
 
         // Check warp-invariant slot mapping and collect bases from warp 0.
+        const SlotTable ta(*qa), tb(*qb), tc(*qc);
         std::vector<std::vector<int64_t>> a_slot(
             frags, std::vector<int64_t>(k_tiles, -1));
         std::vector<std::vector<int64_t>> b_slot(
@@ -806,19 +797,20 @@ Lowering::tryLowerMmaDot(const DotInst &inst)
         bool ok = true;
         for (int w = 0; w < warps && ok; ++w) {
             for (int64_t f = 0; f < frags && ok; ++f) {
-                auto cm = qc->logicalIndexOf(w, f);
+                const int64_t cm0 = tc.logical(w, f, 0);
+                const int64_t cm1 = tc.logical(w, f, 1);
                 for (int64_t kt = 0; kt < k_tiles && ok; ++kt) {
-                    auto sa = qa->localSlotIn(w, {cm[0], kt});
-                    auto sb = qb->localSlotIn(w, {kt, cm[1]});
-                    if (!sa || !sb) {
+                    const int64_t a_idx[2] = {cm0, kt}, b_idx[2] = {kt, cm1};
+                    const int64_t sa = ta.slotIn(w, a_idx);
+                    const int64_t sb = tb.slotIn(w, b_idx);
+                    if (sa < 0 || sb < 0) {
                         ok = false;
                         break;
                     }
                     if (w == 0) {
-                        a_slot[f][kt] = *sa;
-                        b_slot[f][kt] = *sb;
-                    } else if (a_slot[f][kt] != *sa ||
-                               b_slot[f][kt] != *sb) {
+                        a_slot[f][kt] = sa;
+                        b_slot[f][kt] = sb;
+                    } else if (a_slot[f][kt] != sa || b_slot[f][kt] != sb) {
                         ok = false;
                     }
                 }
@@ -848,11 +840,11 @@ Lowering::tryLowerMmaDot(const DotInst &inst)
 bool
 Lowering::tryLowerSimtDot(const DotInst &inst)
 {
-    const Layout &la = inst.a->layout;
-    const Layout &lb = inst.b->layout;
-    const Layout &lc = inst.c->layout;
-    const int64_t threads = lc.numThreads();
-    const int64_t c_locals = lc.localsPerThread();
+    const SlotTable ta(inst.a->layout);
+    const SlotTable tb(inst.b->layout);
+    const SlotTable tc(inst.c->layout);
+    const int64_t threads = tc.numThreads();
+    const int64_t c_locals = tc.localsPerThread();
     const int64_t k_extent = inst.a->shape()[1];
 
     // Every thread must hold all (m, k) and (k, n) operands of its own
@@ -860,20 +852,19 @@ Lowering::tryLowerSimtDot(const DotInst &inst)
     std::vector<std::array<int32_t, 3>> macs;
     macs.reserve(static_cast<size_t>(c_locals * k_extent));
     for (int64_t t = 0; t < threads; ++t) {
-        auto amap = buildSlotMap(la, t);
-        auto bmap = buildSlotMap(lb, t);
         size_t cursor = 0;
         for (int64_t i = 0; i < c_locals; ++i) {
-            auto cm = lc.logicalIndexOf(t, i);
+            const int64_t m = tc.logical(t, i, 0);
+            const int64_t n = tc.logical(t, i, 1);
             for (int64_t k = 0; k < k_extent; ++k) {
-                auto ai = amap.find({cm[0], k});
-                auto bi = bmap.find({k, cm[1]});
-                if (ai == amap.end() || bi == bmap.end())
+                const int64_t a_idx[2] = {m, k}, b_idx[2] = {k, n};
+                const int64_t sa = ta.slotIn(t, a_idx);
+                const int64_t sb = tb.slotIn(t, b_idx);
+                if (sa < 0 || sb < 0)
                     return false;
                 std::array<int32_t, 3> mac = {
-                    static_cast<int32_t>(i),
-                    static_cast<int32_t>(ai->second),
-                    static_cast<int32_t>(bi->second)};
+                    static_cast<int32_t>(i), static_cast<int32_t>(sa),
+                    static_cast<int32_t>(sb)};
                 if (t == 0) {
                     macs.push_back(mac);
                 } else if (macs[cursor] != mac) {

@@ -149,15 +149,76 @@ Layout::replication() const
     return r;
 }
 
-std::optional<int64_t>
-Layout::localSlotIn(int64_t thread, const std::vector<int64_t> &logical) const
+namespace {
+
+/**
+ * out[p] += digit(p) * weight_out for p in [0, n), where digit(p) is the
+ * digit of size @p size and weight @p weight_in in p's mixed-radix
+ * decomposition; walks p in order, so no division is needed.
+ */
+void
+addDigits(int64_t *out, int64_t n, int64_t weight_in, int64_t size,
+          int64_t weight_out)
 {
-    const int64_t locals = localsPerThread();
-    for (int64_t i = 0; i < locals; ++i) {
-        if (logicalIndexOf(thread, i) == logical)
-            return i;
+    for (int64_t p = 0; p < n;)
+        for (int64_t digit = 0; digit < size; ++digit)
+            for (int64_t k = 0; k < weight_in && p < n; ++k, ++p)
+                out[p] += digit * weight_out;
+}
+
+} // namespace
+
+SlotTable::SlotTable(const Layout &layout)
+    : threads_(layout.numThreads()), locals_(layout.localsPerThread()),
+      shape_(layout.shape())
+{
+    const auto &mode_shape = layout.modeShape();
+    const auto &mode_dim = layout.modeDim();
+    const int r = layout.rank();
+    const size_t num_modes = mode_shape.size();
+
+    // Each mode's digit weight within its dimension's coordinate.
+    std::vector<int64_t> dim_weight(num_modes, 1);
+    std::vector<int64_t> dim_run(r, 1);
+    for (size_t m = num_modes; m-- > 0;) {
+        if (mode_dim[m] < 0)
+            continue;
+        dim_weight[m] = dim_run[mode_dim[m]];
+        dim_run[mode_dim[m]] *= mode_shape[m];
     }
-    return std::nullopt;
+
+    fwd_thread_.assign(r * threads_, 0);
+    fwd_local_.assign(r * locals_, 0);
+    mask_.assign(threads_, 0);
+    inv_offset_.assign(r, 0);
+    for (int d = 1; d < r; ++d)
+        inv_offset_[d] = inv_offset_[d - 1] + shape_[d - 1];
+    const int64_t rows = r ? inv_offset_[r - 1] + shape_[r - 1] : 0;
+    inv_thread_.assign(rows, 0);
+    inv_local_.assign(rows, 0);
+
+    // Each ravel's digits go into their coordinates (forward tables) and
+    // each coordinate's digits into the ravel (inverse tables). Replica
+    // digits reach neither a coordinate nor the mask.
+    auto place = [&](const std::vector<int> &order, int64_t n,
+                     std::vector<int64_t> &fwd, std::vector<int64_t> &inv,
+                     bool spatial) {
+        int64_t w = 1; // the mode's weight in the ravel
+        for (size_t k = order.size(); k-- > 0;) {
+            const int m = order[k], d = mode_dim[m];
+            const int64_t size = mode_shape[m];
+            if (d >= 0) {
+                addDigits(&fwd[d * n], n, w, size, dim_weight[m]);
+                addDigits(&inv[inv_offset_[d]], shape_[d], dim_weight[m],
+                          size, w);
+                if (spatial)
+                    addDigits(mask_.data(), n, w, size, w);
+            }
+            w *= size;
+        }
+    };
+    place(layout.spatialModes(), threads_, fwd_thread_, inv_thread_, true);
+    place(layout.localModes(), locals_, fwd_local_, inv_local_, false);
 }
 
 int64_t

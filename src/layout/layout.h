@@ -23,6 +23,18 @@
  * layouts are closed under it. Division (the inverse of the product) is used
  * by instruction selection to test whether a layout can be tiled by a
  * hardware atom (e.g. ldmatrix, mma fragments).
+ *
+ * Slot tables. Because every logical coordinate is linear in the mode
+ * digits, the layout function splits into a thread part and a local part,
+ *
+ *     f(t, i)[d] = fwd_thread[d][t] + fwd_local[d][i],
+ *
+ * and so does its inverse: thread t holds element x iff
+ * sum_d inv_thread[d][x_d] == mask[t], where mask[t] is t with its replica
+ * digits zeroed, and then x sits in local slot sum_d inv_local[d][x_d].
+ * SlotTable builds these tables once, in O(rank * (threads + locals +
+ * sum(shape))), so lowering answers "which slot of thread t holds x" with
+ * a few table reads and no allocation.
  */
 #pragma once
 
@@ -99,13 +111,6 @@ class Layout
     /** True when the layout has no replica modes. */
     bool isBijective() const { return replication() == 1; }
 
-    /**
-     * The local slot of @p logical within @p thread's storage, if that
-     * thread holds the element (replication-aware); nullopt otherwise.
-     */
-    std::optional<int64_t>
-    localSlotIn(int64_t thread, const std::vector<int64_t> &logical) const;
-
     /** Number of threads the tile is distributed over. */
     int64_t numThreads() const;
 
@@ -175,6 +180,57 @@ class Layout
     std::vector<int> spatial_modes_;
     std::vector<int> local_modes_;
     std::string label_;
+};
+
+/**
+ * Forward and inverse slot tables of one layout (see the file comment):
+ * allocation-free, replication-aware slot queries.
+ */
+class SlotTable
+{
+  public:
+    explicit SlotTable(const Layout &layout);
+
+    int64_t numThreads() const { return threads_; }
+    int64_t localsPerThread() const { return locals_; }
+
+    /** Coordinate @p dim of f(thread, local); both must be in range. */
+    int64_t
+    logical(int64_t thread, int64_t local, int dim) const
+    {
+        return fwd_thread_[dim * threads_ + thread] +
+               fwd_local_[dim * locals_ + local];
+    }
+
+    /**
+     * The local slot of the element at @p logical (rank coordinates) in
+     * @p thread's storage, or -1 when that thread does not hold it.
+     * @p thread must be in range; out-of-range coordinates are not held.
+     */
+    int64_t
+    slotIn(int64_t thread, const int64_t *logical) const
+    {
+        int64_t owner = 0, slot = 0;
+        for (size_t d = 0; d < shape_.size(); ++d) {
+            const int64_t x = logical[d];
+            if (x < 0 || x >= shape_[d])
+                return -1;
+            owner += inv_thread_[inv_offset_[d] + x];
+            slot += inv_local_[inv_offset_[d] + x];
+        }
+        return owner == mask_[thread] ? slot : -1;
+    }
+
+  private:
+    int64_t threads_ = 1;
+    int64_t locals_ = 1;
+    std::vector<int64_t> shape_;
+    std::vector<int64_t> fwd_thread_; ///< [dim][thread]
+    std::vector<int64_t> fwd_local_;  ///< [dim][local]
+    std::vector<int64_t> mask_;       ///< [thread], replica digits zeroed
+    std::vector<int64_t> inv_offset_; ///< start of dim's inverse rows
+    std::vector<int64_t> inv_thread_; ///< [dim][coordinate]
+    std::vector<int64_t> inv_local_;  ///< [dim][coordinate]
 };
 
 /** Kronecker product, paper notation f.g ("layout composition"). */

@@ -3,8 +3,9 @@
  * Compiler unit tests: memory planning liveness/reuse, lowering and
  * automatic vectorization (inspected through the PTX-like listing),
  * ldmatrix/mma instruction selection, the fast LOP3/PRMT casting
- * sequences against the reference codec, and end-to-end elementwise
- * kernels including bounds predication.
+ * sequences against the reference codec, end-to-end elementwise
+ * kernels including bounds predication, and the exact CompileError text
+ * of the lowering rejections.
  */
 #include <gtest/gtest.h>
 
@@ -344,6 +345,72 @@ TEST(Lowering, DeviceOomIsRaised)
     EXPECT_THROW(rt.alloc(tilus::float16(),
                           {1LL << 20, 1LL << 16}), // 128 GiB
                  OutOfMemoryError);
+}
+
+// ---------------------------------------------------------------------
+// Lowering rejections: layouts the verifier accepts but no schedule fits.
+// ---------------------------------------------------------------------
+
+/** The CompileError text raised by compiling @p s ("" if none). */
+std::string
+compileErrorOf(lang::Script &s)
+{
+    try {
+        s.compile();
+    } catch (const CompileError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(LoweringRejects, BroadcastOperandNotHeld)
+{
+    // Thread t holds row t of a; b's two columns live in threads 0-15
+    // and 16-31, so thread 0 lacks b[0, 1].
+    lang::Script s("bcast_not_held", 1);
+    s.setGrid({constInt(1)});
+    auto a = s.allocateRegister(tilus::float32(),
+                                spatial(32, 1) * local(1, 2), 1.0, "a");
+    auto b = s.allocateRegister(
+        tilus::float32(), spatial(1, 2) * replicaSpatial(2, 16), 2.0, "b");
+    s.mul(a, b, "c");
+    EXPECT_EQ(compileErrorOf(s),
+              "Binary broadcast: thread 0 does not hold the required "
+              "element of 'b'");
+}
+
+TEST(LoweringRejects, BroadcastSlotMapNotThreadUniform)
+{
+    // Every thread holds all of b, but thread t reads row t: slot 0 in
+    // thread 0, slot 1 in thread 1.
+    lang::Script s("bcast_not_uniform", 1);
+    s.setGrid({constInt(1)});
+    auto a = s.allocateRegister(tilus::float32(),
+                                spatial(32, 1) * local(1, 2), 1.0, "a");
+    auto b = s.allocateRegister(
+        tilus::float32(), replicaSpatial(2, 32) * local(32, 1), 2.0, "b");
+    s.mul(a, b, "c");
+    EXPECT_EQ(compileErrorOf(s),
+              "Binary broadcast: slot mapping is not thread-uniform for "
+              "'b'");
+}
+
+TEST(LoweringRejects, DotNotThreadUniform)
+{
+    // f32 operands rule out mma; every thread holds all operands, but
+    // thread t's accumulator row t reads a at slots 2t and 2t+1.
+    lang::Script s("dot_not_uniform", 1);
+    s.setGrid({constInt(1)});
+    auto a = s.allocateRegister(
+        tilus::float32(), replicaSpatial(2, 32) * local(32, 2), 1.0, "a");
+    auto b = s.allocateRegister(
+        tilus::float32(), replicaSpatial(2, 32) * local(2, 1), 1.0, "b");
+    auto c = s.allocateRegister(tilus::float32(), spatial(32, 1), 0.0, "c");
+    s.dot(a, b, c);
+    EXPECT_EQ(compileErrorOf(s),
+              "Dot: operand layouts fit neither the tensor-core atoms nor "
+              "a thread-local SIMT schedule (a=replica(32).local(32, 2), "
+              "b=replica(32).local(2, 1))");
 }
 
 } // namespace

@@ -342,9 +342,11 @@ TEST(LayoutReplica, LocalSlotLookup)
     Layout r = spatial(1, 8) * replicaSpatial(2, 4) * local(1, 2);
     EXPECT_EQ(r.localsPerThread(), 2);
     // Thread 5 -> n = 5/4 = 1; holds columns 2 and 3.
-    EXPECT_EQ(r.localSlotIn(5, {0, 2}), std::optional<int64_t>(0));
-    EXPECT_EQ(r.localSlotIn(5, {0, 3}), std::optional<int64_t>(1));
-    EXPECT_EQ(r.localSlotIn(5, {0, 4}), std::nullopt);
+    const SlotTable table(r);
+    const int64_t col2[] = {0, 2}, col3[] = {0, 3}, col4[] = {0, 4};
+    EXPECT_EQ(table.slotIn(5, col2), 0);
+    EXPECT_EQ(table.slotIn(5, col3), 1);
+    EXPECT_EQ(table.slotIn(5, col4), -1);
 }
 
 TEST(LayoutReplica, ReplicaProductThreadsMultiply)

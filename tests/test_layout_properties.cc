@@ -5,9 +5,11 @@
  * (not just primitive products): forward/inverse bijection, product
  * definition identity, associativity with three random factors,
  * canonicalization soundness and idempotence, division as the inverse of
- * the product (including replicated factors on the dividend side), and
- * closure of the unified representation.
+ * the product (including replicated factors on the dividend side),
+ * closure of the unified representation, and the slot tables against a
+ * brute-force search over the layout function.
  */
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -209,6 +211,76 @@ TEST(LayoutProperty, RankThreeLayoutsWork)
                 }
             }
     }
+}
+
+/** Rank-@p rank layout for the slot-table checks: a unified layout,
+    optionally with a replica factor before, after or between factors. */
+Layout
+randomTableLayout(Rng &rng, int rank)
+{
+    Layout base = randomUnified(rng, rank);
+    switch (rng.nextBelow(4)) {
+      case 0:
+        return base;
+      case 1:
+        return replicaSpatial(rank, rng.nextRange(2, 3)) * base;
+      case 2:
+        return base * replicaSpatial(rank, rng.nextRange(2, 3));
+      default:
+        return base * replicaSpatial(rank, rng.nextRange(2, 3)) *
+               randomUnified(rng, rank);
+    }
+}
+
+TEST(LayoutProperty, SlotTablesMatchBruteForce)
+{
+    Rng rng(1111);
+    const int trials = 150;
+    int checked = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+        const int rank = 1 + trial % 3;
+        Layout layout = randomTableLayout(rng, rank);
+        const int64_t threads = layout.numThreads();
+        const int64_t locals = layout.localsPerThread();
+        const int64_t numel = layout.numel();
+        if (threads * numel > (1 << 18))
+            continue; // bound the brute force's (thread, element) sweep
+        ++checked;
+        const SlotTable table(layout);
+        ASSERT_EQ(table.numThreads(), threads);
+        ASSERT_EQ(table.localsPerThread(), locals);
+        std::vector<int64_t> brute(numel);
+        for (int64_t t = 0; t < threads; ++t) {
+            // Forward: the tables reproduce f(t, i); the brute-force
+            // inverse records which slot of t holds each element.
+            std::fill(brute.begin(), brute.end(), -1);
+            for (int64_t i = 0; i < locals; ++i) {
+                auto idx = layout.logicalIndexOf(t, i);
+                for (int d = 0; d < rank; ++d)
+                    ASSERT_EQ(table.logical(t, i, d), idx[d])
+                        << layout.unifiedString() << " t=" << t
+                        << " i=" << i << " d=" << d;
+                brute[ravel(idx, layout.shape())] = i;
+            }
+            // Inverse: held-or-not and the slot agree for every element.
+            for (int64_t x = 0; x < numel; ++x) {
+                auto idx = unravel(x, layout.shape());
+                ASSERT_EQ(table.slotIn(t, idx.data()), brute[x])
+                    << layout.unifiedString() << " t=" << t
+                    << " x=" << x;
+            }
+            // Coordinates outside the shape are never held.
+            std::vector<int64_t> outside(rank, 0);
+            for (int d = 0; d < rank; ++d) {
+                outside[d] = layout.shape()[d];
+                ASSERT_EQ(table.slotIn(t, outside.data()), -1);
+                outside[d] = -1;
+                ASSERT_EQ(table.slotIn(t, outside.data()), -1);
+                outside[d] = 0;
+            }
+        }
+    }
+    EXPECT_GE(checked, trials * 3 / 4);
 }
 
 } // namespace

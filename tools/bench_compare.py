@@ -12,13 +12,24 @@ Margins reflect how each number is produced:
   * serving and opt numbers come off the deterministic virtual clock /
     modeled cost tables, so they get tight margins (regressions there
     are real code changes, not noise);
-  * interp and compile numbers are host wall clock and can swing tens
-    of percent between runners, so only their large ratios are gated,
-    with wide margins, alongside exact invariants (engine equivalence,
-    warm-compile counts) that must never drift at all.
+  * interp numbers are host wall clock and can swing tens of percent
+    between runners, so only their large ratios are gated, with wide
+    margins, alongside exact invariants (engine equivalence) that must
+    never drift at all;
+  * compile is gated on deterministic compile counts only. A cold/warm
+    wall-clock ratio is not a regression signal: a faster cold compile
+    lowers it. bench_compile_cost keeps its own >= 5x warm/cold floor.
+
+Two documents are comparable only when they were produced under the same
+configuration: compile-pool width, build type, and the kernel-cache and
+tune-database format versions. Documents that differ in any of these are
+refused (exit 3) instead of being compared.
 
 Usage:
   bench_compare.py FRESH.json BASELINE.json
+
+Exit codes: 0 pass, 1 regression, 2 unusable input, 3 refused
+(configurations differ; re-record the baseline under the fresh one's).
 
 The bench family is inferred from the documents' "bench" key (the two
 must match). A run present in the baseline but missing fresh is a
@@ -83,10 +94,13 @@ SPECS = {
     "compile": {
         "run_key": None,  # single-document bench: compare top level
         "metrics": [
-            ("operator_tune.speedup", "higher", 0.80),  # wall clock
-            ("engine_tune.speedup", "higher", 0.80),
-            ("operator_tune.warm_compiles", "equal", 0),
+            # Deterministic counts: a warm pass compiles nothing and a
+            # cold pass compiles exactly the tuning space.
+            ("operator_tune.candidates", "equal", 0),
             ("operator_tune.cold_compiles", "equal", 0),
+            ("operator_tune.warm_compiles", "equal", 0),
+            ("engine_tune.cold_compiles", "equal", 0),
+            ("engine_tune.warm_compiles", "equal", 0),
         ],
     },
     "serving": {
@@ -110,9 +124,29 @@ SPECS = {
 }
 
 
+# Configuration that must match between the two documents.
+CONFIG_KEYS = (
+    "compile_threads",
+    "build_info.build_type",
+    "build_info.cache_format_version",
+    "build_info.tune_db_version",
+)
+EXIT_REFUSED = 3
+
+
 def fail(msg):
     print(f"bench_compare: ERROR: {msg}", file=sys.stderr)
     sys.exit(2)
+
+
+def config_mismatches(fresh_doc, base_doc):
+    """-> list of 'key: baseline -> fresh' for each differing config key."""
+    out = []
+    for key in CONFIG_KEYS:
+        base_v, fresh_v = lookup(base_doc, key), lookup(fresh_doc, key)
+        if base_v != fresh_v:
+            out.append(f"{key}: {base_v!r} -> {fresh_v!r}")
+    return out
 
 
 def lookup(doc, path):
@@ -192,6 +226,12 @@ def main(argv):
     if spec is None:
         fail(f"no comparison spec for bench {bench!r} "
              f"(known: {sorted(SPECS)})")
+    mismatches = config_mismatches(fresh_doc, base_doc)
+    if mismatches:
+        print(f"bench_compare[{bench}]: REFUSED: configurations differ "
+              f"({'; '.join(mismatches)}) fresh={fresh_path} "
+              f"baseline={base_path}", file=sys.stderr)
+        return EXIT_REFUSED
 
     base_runs = collect_runs(base_doc, spec)
     fresh_runs = collect_runs(fresh_doc, spec)
