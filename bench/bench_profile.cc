@@ -69,11 +69,8 @@ evaluate(const kernels::MatmulConfig &cfg, compiler::OptLevel level,
     options.max_blocks = 1;
     options.enable_print = false;
     options.profile = &collector;
-    sim::SimStats stats = sim::run(kernel, env, nullptr, options);
-
-    row.profile = collector.finish(
-        block_stats, env, spec, {},
-        stats.used_microops ? "microop" : "treewalk");
+    sim::run(kernel, env, nullptr, options);
+    row.profile = collector.finish(block_stats, env, spec, {}, "microop");
     // Both opt levels profile the same program, so disambiguate the
     // sink/report key by opt level.
     row.profile.kernel += "@" + row.opt_level;

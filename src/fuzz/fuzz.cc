@@ -10,7 +10,6 @@
 #include "fuzz/generator.h"
 #include "obs/metrics.h"
 #include "opt/pass_manager.h"
-#include "sim/microop.h"
 #include "support/error.h"
 
 namespace tilus {
@@ -100,20 +99,7 @@ checkCorpusKernel(const lir::Kernel &kernel,
     opt::PassManager::standardPipeline(compiler::OptLevel::O2).run(k2);
     lir::Kernel rt2 = cache::deserializeKernel(cache::serializeKernel(k2));
 
-    auto engineFor = [](const lir::Kernel &k) {
-        return sim::compileMicroProgram(k).ok() ? sim::Engine::kMicroOps
-                                                : sim::Engine::kTreeWalk;
-    };
-    return opt::diffLegs(
-        {
-            {"O0/treewalk", &kernel, sim::Engine::kTreeWalk},
-            {"O0/microop", &kernel, engineFor(kernel)},
-            {"O0/roundtrip/treewalk", &rt0, sim::Engine::kTreeWalk},
-            {"O2/treewalk", &k2, sim::Engine::kTreeWalk},
-            {"O2/microop", &k2, engineFor(k2)},
-            {"O2/roundtrip/microop", &rt2, engineFor(rt2)},
-        },
-        config);
+    return opt::diffLegs(sixLegs(kernel, rt0, k2, rt2), config);
 }
 
 FuzzReport
@@ -150,9 +136,6 @@ runFuzz(const FuzzConfig &config)
         report.checksum =
             mix64(report.checksum ^ mix64(seed) ^ hr.kernel_hash ^
                   (static_cast<uint64_t>(hr.verdict) + 1));
-        if (!hr.microop_decoded && hr.verdict != Verdict::kVerifierReject &&
-            hr.verdict != Verdict::kCompileReject)
-            ++report.microop_fallbacks;
 
         if (gen.expect_invalid) {
             if (hr.verdict == Verdict::kVerifierReject) {
@@ -240,8 +223,6 @@ runFuzz(const FuzzConfig &config)
     reg.counter("fuzz_compile_rejects_total").add(report.compile_rejects);
     reg.counter("fuzz_divergences_total").add(report.divergences);
     reg.counter("fuzz_crashes_total").add(report.crashes);
-    reg.counter("fuzz_microop_fallbacks_total")
-        .add(report.microop_fallbacks);
     int64_t steps = 0;
     for (const Finding &f : report.findings)
         steps += f.minimize_steps;

@@ -72,7 +72,6 @@ struct FuzzReport
     int crashes = 0;
     int generator_errors = 0;  ///< generator emitted an invalid program
     int unexpected_valid = 0;  ///< adversarial program was NOT rejected
-    int microop_fallbacks = 0; ///< runs where a kernel was undecodable
     uint64_t checksum = 0;     ///< reproducibility digest (see file doc)
     std::vector<Finding> findings;
 

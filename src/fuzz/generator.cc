@@ -431,9 +431,10 @@ emitControlPattern(Gen &g)
 }
 
 /**
- * Pins the process-global Var/tensor id counters to 0 while a program
- * is generated, so identical seeds produce byte-identical programs no
- * matter how many were built before (the run checksum depends on it).
+ * Pins the process-global Var/tensor id counters to their first user
+ * ids while a program is generated, so identical seeds produce
+ * byte-identical programs no matter how many were built before (the
+ * run checksum depends on it).
  * Restores the high-water mark on exit: ids handed out later must not
  * collide with the generated program's ids (optimizer-introduced
  * variables share one binding space with program variables).
@@ -443,7 +444,7 @@ struct IdScope
     int saved_var, saved_tensor;
 
     IdScope()
-        : saved_var(ir::exchangeVarCounter(0)),
+        : saved_var(ir::exchangeVarCounter(ir::kFirstUserVarId)),
           saved_tensor(lang::exchangeTensorCounter(0))
     {}
 

@@ -4,7 +4,6 @@
 #include "cache/serialize.h"
 #include "compiler/compiler.h"
 #include "ir/verifier.h"
-#include "sim/microop.h"
 #include "support/error.h"
 
 namespace tilus {
@@ -59,15 +58,6 @@ plantBugInBody(lir::LBody &body)
     return false;
 }
 
-sim::Engine
-microopOrFallback(const lir::Kernel &kernel, bool *decoded)
-{
-    if (sim::compileMicroProgram(kernel).ok())
-        return sim::Engine::kMicroOps;
-    *decoded = false;
-    return sim::Engine::kTreeWalk;
-}
-
 } // namespace
 
 const char *
@@ -81,6 +71,22 @@ verdictName(Verdict v)
       case Verdict::kCrash: return "CRASH";
     }
     return "?";
+}
+
+std::vector<opt::OracleLeg>
+sixLegs(const lir::Kernel &k0, const lir::Kernel &rt0,
+        const lir::Kernel &k2, const lir::Kernel &rt2)
+{
+    const sim::Engine tw = sim::Engine::kTreeWalk;
+    const sim::Engine mo = sim::Engine::kMicroOps;
+    return {
+        {"O0/treewalk", &k0, tw},
+        {"O0/microop", &k0, mo},
+        {"O0/roundtrip/treewalk", &rt0, tw},
+        {"O2/treewalk", &k2, tw},
+        {"O2/microop", &k2, mo},
+        {"O2/roundtrip/microop", &rt2, mo},
+    };
 }
 
 HarnessResult
@@ -139,25 +145,8 @@ runHarness(const ir::Program &program, const HarnessOptions &options)
         if (options.plant_engine_bug)
             plantBugInBody(k2.body);
 
-        result.microop_decoded = true;
-        const sim::Engine tw = sim::Engine::kTreeWalk;
-        const sim::Engine mo_k0 =
-            microopOrFallback(k0, &result.microop_decoded);
-        const sim::Engine mo_k2 =
-            microopOrFallback(k2, &result.microop_decoded);
-        const sim::Engine mo_rt2 =
-            microopOrFallback(rt2, &result.microop_decoded);
-
-        opt::NwayReport report = opt::diffLegs(
-            {
-                {"O0/treewalk", &k0, tw},
-                {"O0/microop", &k0, mo_k0},
-                {"O0/roundtrip/treewalk", &rt0, tw},
-                {"O2/treewalk", &k2, tw},
-                {"O2/microop", &k2, mo_k2},
-                {"O2/roundtrip/microop", &rt2, mo_rt2},
-            },
-            options.oracle);
+        opt::NwayReport report =
+            opt::diffLegs(sixLegs(k0, rt0, k2, rt2), options.oracle);
         if (report.crashed) {
             result.verdict = Verdict::kCrash;
             result.failing_leg = report.failing_leg;

@@ -17,9 +17,9 @@
  *
  * The serializer's byte-identity invariant
  * (serializeKernel(deserializeKernel(b)) == b) is asserted as a seventh,
- * memory-free leg. Kernels the micro-op engine cannot decode fall back
- * to the tree walk for their "microop" legs (counted, not failed —
- * decodability is optional by design, see src/sim/README.md).
+ * memory-free leg. Micro-op legs never downgrade: a kernel that does not
+ * decode throws on its leg, a kCrash naming that leg (decode is total
+ * over compiled kernels, see src/sim/README.md).
  *
  * Verdict taxonomy (the fuzzer's classification contract):
  *   - kVerifierReject: ir::verify threw VerifyError — the program is
@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ir/program.h"
 #include "opt/oracle.h"
@@ -87,10 +88,14 @@ struct HarnessResult
         program never compiled); equal across runs iff generation and
         compilation are byte-reproducible. */
     uint64_t kernel_hash = 0;
-    /** True when the micro-op legs ran decoded; false means they fell
-        back to the tree walk (undecodable kernel). */
-    bool microop_decoded = false;
 };
+
+/** The six legs (see file comment) over the O0/O2 kernels and their
+    cache round-trips. */
+std::vector<opt::OracleLeg> sixLegs(const lir::Kernel &k0,
+                                    const lir::Kernel &rt0,
+                                    const lir::Kernel &k2,
+                                    const lir::Kernel &rt2);
 
 /** Run the six legs for @p program. Never throws. */
 HarnessResult runHarness(const ir::Program &program,

@@ -12,7 +12,7 @@ namespace ir {
 
 namespace {
 
-std::atomic<int> g_next_var_id{0};
+std::atomic<int> g_next_var_id{kFirstUserVarId};
 
 bool
 isConst(const Expr &e, int64_t &value)
@@ -31,6 +31,13 @@ Var::make(std::string name, DataType dtype)
 {
     return Var(std::make_shared<VarNode>(std::move(name), dtype,
                                          g_next_var_id.fetch_add(1)));
+}
+
+Var
+Var::reserved(int id, std::string name, DataType dtype)
+{
+    TILUS_CHECK(id >= 0 && id < kFirstUserVarId);
+    return Var(std::make_shared<VarNode>(std::move(name), dtype, id));
 }
 
 int

@@ -135,6 +135,9 @@ class Var
     /** Create a fresh variable with a process-unique id. */
     static Var make(std::string name, DataType dtype = tilus::int32());
 
+    /** A builtin variable with a fixed id below kFirstUserVarId. */
+    static Var reserved(int id, std::string name, DataType dtype);
+
     const std::shared_ptr<const VarNode> &node() const { return node_; }
     const std::string &name() const { return node_->name; }
     int id() const { return node_->id; }
@@ -183,11 +186,19 @@ Expr maxExpr(const Expr &a, const Expr &b);
 /// @}
 
 /**
+ * Var ids below this are reserved for the LIR builtins (lir::tidVar(),
+ * lir::workspaceVar(), lir::blockIdxVar()); Var::make hands out ids
+ * from here up, so no program variable can share a builtin's id.
+ */
+constexpr int kFirstUserVarId = 8;
+
+/**
  * Swap the process-global Var id counter, returning its previous value.
  * Deterministic program construction (the fuzzer's generator) brackets
  * itself with this so identical seeds yield identical ids regardless of
- * what was built before; the caller must restore at least the high-water
- * mark afterwards or later ids would collide with the bracketed ones.
+ * what was built before (bracketing from kFirstUserVarId); the caller
+ * must restore at least the high-water mark afterwards or later ids
+ * would collide with the bracketed ones.
  * Not safe while another thread is creating Vars.
  */
 int exchangeVarCounter(int value);

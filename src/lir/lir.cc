@@ -10,23 +10,24 @@ namespace lir {
 const ir::Var &
 tidVar()
 {
-    static ir::Var var = ir::Var::make("tid", tilus::int32());
+    static ir::Var var = ir::Var::reserved(0, "tid", tilus::int32());
     return var;
 }
 
 const ir::Var &
 workspaceVar()
 {
-    static ir::Var var = ir::Var::make("__workspace", tilus::int64());
+    static ir::Var var = ir::Var::reserved(1, "__workspace", tilus::int64());
     return var;
 }
 
 const ir::Var &
 blockIdxVar(int dim)
 {
-    static ir::Var vars[3] = {ir::Var::make("ctaid.x", tilus::int32()),
-                              ir::Var::make("ctaid.y", tilus::int32()),
-                              ir::Var::make("ctaid.z", tilus::int32())};
+    static ir::Var vars[3] = {
+        ir::Var::reserved(2, "ctaid.x", tilus::int32()),
+        ir::Var::reserved(3, "ctaid.y", tilus::int32()),
+        ir::Var::reserved(4, "ctaid.z", tilus::int32())};
     TILUS_CHECK(dim >= 0 && dim < 3);
     return vars[dim];
 }

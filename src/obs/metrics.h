@@ -2,7 +2,7 @@
  * @file
  * The process-wide metrics registry: named counters, gauges, and
  * log2-bucketed histograms shared by every subsystem (kernel-cache
- * hit/miss, tune-db warm/cold, compile-pool depth, micro-op fallbacks,
+ * hit/miss, tune-db warm/cold, compile-pool depth, micro-op decodes,
  * serving preemptions, ...).
  *
  * Fast path: a metric handle is an atomic the caller keeps a reference

@@ -169,8 +169,6 @@ Runtime::getOrCompile(const ir::Program &program,
 const sim::MicroProgram *
 Runtime::cachedProgram(const lir::Kernel &kernel) const
 {
-    if (sim::resolveEngine(sim::Engine::kAuto) == sim::Engine::kTreeWalk)
-        return nullptr;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(&kernel);
     if (it == entries_.end())
@@ -248,9 +246,7 @@ Runtime::launch(const lir::Kernel &kernel, const std::vector<KernelArg> &args)
     sim::SimStats stats = sim::run(kernel, env, &device_, options);
     sim::SimStats block_stats =
         sim::traceOneBlock(kernel, env, options.micro_program);
-    sink.record(collector.finish(block_stats, env, spec_, {},
-                                 stats.used_microops ? "microop"
-                                                     : "treewalk"));
+    sink.record(collector.finish(block_stats, env, spec_, {}, "microop"));
     return stats;
 }
 

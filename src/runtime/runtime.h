@@ -108,9 +108,8 @@ class Runtime
 
     /**
      * The cached pre-decoded program for a kernel obtained from
-     * getOrCompile, decoding it on first use (null for foreign kernels —
-     * sim::run then decodes on the fly — and when the process is pinned
-     * to the tree-walk engine, where decoding would be pure overhead).
+     * getOrCompile, decoding it on first use (null for foreign kernels;
+     * sim::run then decodes on the fly).
      */
     const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel) const;
 

@@ -1,7 +1,6 @@
 #include "sim/interpreter.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -649,40 +648,7 @@ BlockExecutor::printTensor(int tensor_id)
     });
 }
 
-/**
- * The engine used when RunOptions::engine is kAuto: the micro-op engine
- * unless TILUS_SIM_ENGINE=treewalk overrides it (read once per process;
- * used for A/B wall-clock comparisons of whole suites, see
- * bench/bench_interp.cc).
- */
-Engine
-defaultEngine()
-{
-    static const Engine engine = [] {
-        const char *env = std::getenv("TILUS_SIM_ENGINE");
-        if (env != nullptr) {
-            std::string value(env);
-            if (value == "treewalk")
-                return Engine::kTreeWalk;
-            if (value == "microop")
-                return Engine::kMicroOps;
-            TILUS_FATAL_IF(!value.empty() && value != "auto",
-                           "TILUS_SIM_ENGINE must be auto, treewalk, or "
-                           "microop (got '"
-                               << value << "')");
-        }
-        return Engine::kAuto;
-    }();
-    return engine;
-}
-
 } // namespace
-
-Engine
-resolveEngine(Engine requested)
-{
-    return requested == Engine::kAuto ? defaultEngine() : requested;
-}
 
 SimStats
 run(const lir::Kernel &kernel, ir::Env args, Device *device,
@@ -715,14 +681,11 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
 
     SimStats stats;
 
-    // Engine selection: pre-decoded micro-ops unless the caller (or the
-    // TILUS_SIM_ENGINE override) forces the tree walk. The decoded
-    // program is reused from the runtime cache when provided, decoded
-    // once per run() call otherwise.
-    Engine engine = resolveEngine(options.engine);
+    // The decoded program is reused from the runtime cache when
+    // provided, decoded once per run() call otherwise.
     std::unique_ptr<MicroProgram> decoded_here;
     const MicroProgram *program = nullptr;
-    if (engine != Engine::kTreeWalk) {
+    if (options.engine == Engine::kMicroOps) {
         program = options.micro_program;
         if (program != nullptr) {
             TILUS_CHECK_MSG(program->kernel() == &kernel,
@@ -733,19 +696,10 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
                 compileMicroProgram(kernel));
             program = decoded_here.get();
         }
-        if (!program->ok()) {
-            TILUS_FATAL_IF(engine == Engine::kMicroOps,
-                           "micro-op engine forced but kernel '"
-                               << kernel.name << "' is not decodable: "
-                               << program->fallbackReason());
-            stats.microop_fallbacks += 1;
-            stats.microop_fallback_reason = program->fallbackReason();
-            obs::Registry::instance()
-                .counter("sim_microop_fallbacks_total")
-                .add();
-            span.arg("fallback_reason", stats.microop_fallback_reason);
-            program = nullptr;
-        }
+        TILUS_FATAL_IF(!program->ok(),
+                       "kernel '" << kernel.name
+                                  << "' does not decode to micro-ops: "
+                                  << program->fallbackReason());
     }
     span.arg("engine", program != nullptr ? "microop" : "treewalk");
 
@@ -768,8 +722,6 @@ run(const lir::Kernel &kernel, ir::Env args, Device *device,
             block.run(env);
         }
     }
-    if (program != nullptr)
-        stats.used_microops = true;
     return stats;
 }
 

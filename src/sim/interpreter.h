@@ -41,26 +41,17 @@ enum class MemoryMode
 };
 
 /**
- * Which execution engine runs the kernel. kAuto prefers the pre-decoded
- * micro-op engine (sim/microop.h) and falls back to the tree-walk
- * interpreter when the kernel is not decodable; the environment variable
- * TILUS_SIM_ENGINE=treewalk|microop overrides kAuto (benchmarking and
- * A/B timing of whole test suites).
+ * Which execution engine runs the kernel. The pre-decoded micro-op
+ * engine (sim/microop.h) is the only one used at run time; the
+ * tree-walk interpreter is the reference that the differential oracle
+ * (opt::diffEngines, opt::diffLegs, the fuzzer) and tests compare
+ * against.
  */
 enum class Engine
 {
-    kAuto,
-    kMicroOps, ///< require the micro-op engine (panics if undecodable)
-    kTreeWalk, ///< force the legacy tree-walk interpreter
+    kMicroOps, ///< pre-decoded micro-ops (throws if undecodable)
+    kTreeWalk, ///< the tree-walk reference interpreter
 };
-
-/**
- * Resolve kAuto against the TILUS_SIM_ENGINE process override
- * (treewalk|microop|auto). Callers that pay a decode cost up front
- * (runtime::Runtime's program cache) use this to skip it when the
- * process is pinned to the tree walk.
- */
-Engine resolveEngine(Engine requested);
 
 /** Options for a kernel execution or trace. */
 struct RunOptions
@@ -71,7 +62,7 @@ struct RunOptions
     /** Enable Print instructions (block 0 only). */
     bool enable_print = true;
     /** Execution engine (see Engine). */
-    Engine engine = Engine::kAuto;
+    Engine engine = Engine::kMicroOps;
     /**
      * Pre-decoded program for `kernel` (runtime::Runtime's cache); when
      * null the program is decoded on the fly, once per run() call.
@@ -95,6 +86,8 @@ struct RunOptions
  * @param device  device memory (may be null in ghost mode)
  * @param options execution options
  * @return accumulated statistics over the executed blocks
+ * @throws TilusError naming the kernel and the reason when the micro-op
+ *         engine is selected and the kernel does not decode
  */
 SimStats run(const lir::Kernel &kernel, ir::Env args, Device *device,
              const RunOptions &options = {});

@@ -24,8 +24,6 @@ namespace {
 
 using namespace tilus::lir;
 
-constexpr int kMaxEvalStack = 256;
-
 /**
  * Shared decode tables: decodeValue over every raw bit pattern of a
  * type, built once per dtype per process. 2 KB for sub-byte types,
@@ -108,9 +106,9 @@ class MicroDecoder
             program_.reason_ = failure.reason;
         } catch (const TilusError &e) {
             // Decode evaluates eagerly (tid tables, InitTensor encode);
-            // anything a lazier engine would not have tripped over is a
-            // graceful fallback, not a crash — compileMicroProgram
-            // promises never to throw.
+            // an error there becomes the program's reason, not a throw
+            // — compileMicroProgram promises never to throw (sim::run
+            // reports the reason when asked to execute the program).
             program_.reason_ = e.what();
         }
         return std::move(program_);
@@ -219,7 +217,7 @@ class MicroDecoder
         // which over-estimates by the select nesting depth — safely
         // conservative, and exact for the common jump-free programs.
         int depth = 0;
-        int peak = 0;
+        int &peak = program_.max_stack_; // deepest over all programs
         for (const SlotInstr &ins : prog.code) {
             switch (ins.kind) {
               case SlotInstr::kConst:
@@ -236,9 +234,6 @@ class MicroDecoder
                 break;
             }
         }
-        prog.max_stack = peak;
-        if (prog.max_stack > kMaxEvalStack)
-            fail("expression too deep for the micro-op evaluator");
         return prog;
     }
 
@@ -772,6 +767,7 @@ class MicroExecutor
         }
         regs_.assign(static_cast<size_t>(program.numSlots()), 0);
         bound_.assign((regs_.size() + 63) / 64, 0);
+        stack_.resize(static_cast<size_t>(program.maxStack()));
     }
 
     void
@@ -853,7 +849,7 @@ class MicroExecutor
     int64_t
     evalProgram(const ExprProgram &prog, int64_t tid) const
     {
-        int64_t stack[kMaxEvalStack];
+        int64_t *stack = stack_.data();
         int sp = 0;
         const SlotInstr *code = prog.code.data();
         const int n = static_cast<int>(prog.code.size());
@@ -1211,6 +1207,8 @@ class MicroExecutor
     int64_t compute_ops_ = 0;
     std::vector<int64_t> regs_;
     std::vector<uint64_t> bound_;
+    /// Slot-program evaluation stack, MicroProgram::maxStack() deep.
+    mutable std::vector<int64_t> stack_;
     /// execMma fragment scratch, reused across calls.
     std::vector<float> mma_a_, mma_b_, mma_c_, mma_d_;
 };

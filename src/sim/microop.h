@@ -21,10 +21,9 @@
  *  - warp-wide mma fragment gather/scatter index maps (layout
  *    `logicalIndexOf` calls) are precomputed into flat tables.
  *
- * Decoding is total for everything the compiler emits today; a kernel
- * using an undecodable construct yields a program with a fallback
- * reason, and `sim::run` transparently executes it on the legacy
- * tree-walk path instead (recorded in SimStats::microop_fallbacks).
+ * Decoding is total over compiled kernels; a hand-built kernel using an
+ * undecodable construct yields a program with a fallback reason, which
+ * `sim::run` reports as a TilusError instead of running it.
  *
  * The decoded program borrows the kernel (it keeps pointers into the
  * kernel's op payloads): the kernel must outlive the program, which is
@@ -69,11 +68,11 @@ struct SlotInstr
     int64_t imm = 0;
 };
 
-/** A compiled expression: flat instructions plus the needed stack depth. */
+/** A compiled expression: flat postorder instructions (the stack depth
+    they need is folded into MicroProgram::maxStack()). */
 struct ExprProgram
 {
     std::vector<SlotInstr> code;
-    int max_stack = 0;
 };
 
 /** How a decoded expression is evaluated at run time. */
@@ -234,7 +233,7 @@ class MicroProgram
     /** The kernel this program was decoded from (borrowed). */
     const lir::Kernel *kernel() const { return kernel_; }
 
-    /// @name Decode statistics (tests and the CI fallback gate).
+    /// @name Decode statistics (tests and bench_interp).
     /// @{
     int numAffineExprs() const { return num_affine_; }
     int numUniformExprs() const { return num_uniform_; }
@@ -250,6 +249,9 @@ class MicroProgram
     }
     const std::vector<TensorInfo> &tensorInfo() const { return tensors_; }
     int numSlots() const { return num_slots_; }
+
+    /** Deepest evaluation stack any of the program's expressions needs. */
+    int maxStack() const { return max_stack_; }
 
     /** (var id, slot, name) of every named variable, for env seeding. */
     struct VarSlot
@@ -278,6 +280,7 @@ class MicroProgram
     std::vector<VarSlot> var_slots_;
     std::vector<std::string> slot_names_;
     int num_slots_ = 0;
+    int max_stack_ = 0;
     int num_affine_ = 0;
     int num_uniform_ = 0;
     int num_tabulated_ = 0;
@@ -286,8 +289,8 @@ class MicroProgram
 
 /**
  * Decode @p kernel into a flat micro-op program. Never throws for
- * undecodable kernels: the returned program carries a fallback reason
- * and `sim::run` uses the tree-walk interpreter instead.
+ * undecodable kernels: the returned program carries a fallback reason,
+ * and `sim::run` throws when asked to execute it.
  */
 MicroProgram compileMicroProgram(const lir::Kernel &kernel);
 

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <string>
 
 namespace tilus {
 namespace sim {
@@ -107,11 +106,6 @@ struct SimStats : Counters
     int max_groups_in_flight = 0;
     bool overlapped = false; ///< copies stayed in flight across compute
 
-    // Execution-engine diagnostics (not part of the timing model).
-    bool used_microops = false;    ///< ran on the pre-decoded engine
-    int64_t microop_fallbacks = 0; ///< runs that fell back to tree-walk
-    std::string microop_fallback_reason; ///< first decode-failure reason
-
     void
     merge(const SimStats &other)
     {
@@ -123,10 +117,6 @@ struct SimStats : Counters
         max_groups_in_flight =
             std::max(max_groups_in_flight, other.max_groups_in_flight);
         overlapped = overlapped || other.overlapped;
-        used_microops = used_microops || other.used_microops;
-        microop_fallbacks += other.microop_fallbacks;
-        if (microop_fallback_reason.empty())
-            microop_fallback_reason = other.microop_fallback_reason;
     }
 };
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "cache/serialize.h"
 #include "compiler/compiler.h"
@@ -18,7 +19,9 @@
 #include "fuzz/generator.h"
 #include "ir/verifier.h"
 #include "obs/metrics.h"
+#include "sim/microop.h"
 #include "support/error.h"
+#include "test_helpers.h"
 
 namespace tilus {
 namespace {
@@ -239,6 +242,90 @@ TEST(Fuzz, CheckedInCorpusPassesSixWay)
         ++checked;
     }
     EXPECT_GE(checked, 5) << "regression corpus is missing kernels";
+}
+
+/** The ids of every Var @p stmt defines (loop, assigned and block-index
+    variables; a verified program references no others). */
+void
+collectDefinedVarIds(const ir::Stmt &stmt, std::set<int> &out)
+{
+    const ir::StmtNode *node = stmt.get();
+    if (auto *seq = dynamic_cast<const ir::SeqStmt *>(node)) {
+        for (const ir::Stmt &s : seq->stmts)
+            collectDefinedVarIds(s, out);
+    } else if (auto *branch = dynamic_cast<const ir::IfStmt *>(node)) {
+        collectDefinedVarIds(branch->then_body, out);
+        collectDefinedVarIds(branch->else_body, out);
+    } else if (auto *loop = dynamic_cast<const ir::ForStmt *>(node)) {
+        out.insert(loop->var.id());
+        collectDefinedVarIds(loop->body, out);
+    } else if (auto *w = dynamic_cast<const ir::WhileStmt *>(node)) {
+        collectDefinedVarIds(w->body, out);
+    } else if (auto *assign = dynamic_cast<const ir::AssignStmt *>(node)) {
+        out.insert(assign->var.id());
+    } else if (auto *inst = dynamic_cast<const ir::InstStmt *>(node)) {
+        if (auto *bi = dynamic_cast<const ir::BlockIndicesInst *>(
+                inst->inst.get()))
+            for (const ir::Var &v : bi->outs)
+                out.insert(v.id());
+    }
+}
+
+/**
+ * Generated programs never reuse a builtin variable's id, whatever
+ * order the builtins were created in, so every kernel that compiles
+ * decodes and the micro-op legs run micro-ops.
+ */
+TEST(Fuzz, GeneratedVarsAvoidBuiltinIdsAndKernelsDecode)
+{
+    std::set<int> builtins = {lir::tidVar().id(), lir::workspaceVar().id()};
+    for (int d = 0; d < 3; ++d)
+        builtins.insert(lir::blockIdxVar(d).id());
+    int decoded = 0;
+    uint64_t seed = 0xdeadbeef;
+    for (int i = 0; i < 200; ++i, seed = fuzz::nextSeed(seed)) {
+        SCOPED_TRACE(fuzz::reproCommand(seed));
+        fuzz::Generated gen = fuzz::generateProgram(seed);
+        std::set<int> ids;
+        for (const ir::Var &v : gen.program.params)
+            ids.insert(v.id());
+        collectDefinedVarIds(gen.program.body, ids);
+        for (int id : ids)
+            EXPECT_EQ(builtins.count(id), 0u) << "var id " << id;
+        if (gen.expect_invalid)
+            continue;
+        for (compiler::OptLevel level :
+             {compiler::OptLevel::O0, compiler::OptLevel::O2}) {
+            compiler::CompileOptions options;
+            options.opt_level = level;
+            lir::Kernel kernel;
+            try {
+                kernel = compiler::compile(gen.program, options);
+            } catch (const CompileError &) {
+                continue;
+            }
+            sim::MicroProgram program = sim::compileMicroProgram(kernel);
+            EXPECT_TRUE(program.ok()) << program.fallbackReason();
+            ++decoded;
+        }
+    }
+    EXPECT_GT(decoded, 300);
+}
+
+/**
+ * A micro-op leg never downgrades to the tree walk: a kernel that does
+ * not decode (a top-level break) crashes its first micro-op leg.
+ */
+TEST(Fuzz, UndecodableKernelCrashesMicroOpLeg)
+{
+    lir::Kernel kernel = testing::undecodableKernel();
+    opt::OracleConfig oracle;
+    oracle.device_bytes = 1 << 20;
+    opt::NwayReport report = fuzz::checkCorpusKernel(kernel, oracle);
+    EXPECT_TRUE(report.crashed);
+    EXPECT_EQ(report.failing_leg, "O0/microop");
+    EXPECT_NE(report.detail.find("does not decode"), std::string::npos)
+        << report.detail;
 }
 
 TEST(Fuzz, FindingsAreWrittenToCorpusDir)

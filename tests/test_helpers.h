@@ -176,5 +176,18 @@ maxRelativeError(const std::vector<double> &got,
     return worst;
 }
 
+/** A kernel the micro-op decoder refuses (break outside any loop) but
+    the tree walk executes as a no-op block. */
+inline lir::Kernel
+undecodableKernel()
+{
+    lir::Kernel kernel;
+    kernel.name = "undecodable";
+    kernel.block_threads = 32;
+    kernel.grid = {ir::constInt(1)};
+    kernel.body.push_back(lir::LNode{lir::LBreak{}});
+    return kernel;
+}
+
 } // namespace testing
 } // namespace tilus

@@ -6,7 +6,7 @@
  * expression classification (affine / tabulated / generic, including a
  * deliberately non-affine address that pins the per-thread fallback
  * path), ghost-trace statistics parity (the autotuner's input), the
- * runtime's decoded-program cache, whole-kernel decode fallback, and
+ * runtime's decoded-program cache, undecodable kernels as errors, and
  * the satellite fast paths (dense ir::Env, byte-aligned packing).
  */
 #include <gtest/gtest.h>
@@ -57,9 +57,6 @@ expectEnginesIdentical(const ir::Program &program, uint64_t seed,
     EXPECT_TRUE(report.identical)
         << program.name << ": " << report.detail << "\n"
         << report.listing_opt;
-    EXPECT_TRUE(report.stats_opt.used_microops) << program.name;
-    EXPECT_EQ(report.stats_opt.microop_fallbacks, 0) << program.name;
-    EXPECT_FALSE(report.stats_ref.used_microops) << program.name;
 }
 
 // ---------------------------------------------------------------------
@@ -183,7 +180,6 @@ TEST(MicroOpDecode, NonAffineAddressTakesGenericPath)
     config.scalars = {{"n", 32}};
     opt::OracleReport report = opt::diffEngines(kernel, config);
     EXPECT_TRUE(report.identical) << report.detail;
-    EXPECT_TRUE(report.stats_opt.used_microops);
 }
 
 TEST(MicroOpDiff, LoopVariableReadAfterLoop)
@@ -212,7 +208,6 @@ TEST(MicroOpDiff, LoopVariableReadAfterLoop)
     lir::Kernel kernel = compiler::compile(prog, {});
     opt::OracleReport report = opt::diffEngines(kernel, {});
     EXPECT_TRUE(report.identical) << report.detail;
-    EXPECT_TRUE(report.stats_opt.used_microops);
 }
 
 TEST(MicroOpDecode, AffineDecomposition)
@@ -274,7 +269,6 @@ TEST(MicroOpStats, GhostTraceParity)
         options.engine = sim::Engine::kMicroOps;
         sim::SimStats micro = sim::run(kernel, env, nullptr, options);
         expectStatsEqual(tree, micro);
-        EXPECT_TRUE(micro.used_microops);
     }
 }
 
@@ -292,46 +286,65 @@ TEST(MicroOpStats, FunctionalRunParity)
 }
 
 // ---------------------------------------------------------------------
-// Whole-kernel fallback and forced-engine behaviour.
+// Undecodable kernels: an error, never a silent tree-walk run.
 // ---------------------------------------------------------------------
 
-/** A kernel the decoder refuses (break outside any loop) but the tree
-    walk executes as a no-op block. */
-lir::Kernel
-undecodableKernel()
+TEST(MicroOpFallback, UndecodableKernelThrowsNamingKernelAndReason)
 {
-    lir::Kernel kernel;
-    kernel.name = "undecodable";
-    kernel.block_threads = 32;
-    kernel.grid = {constInt(1)};
-    kernel.body.push_back(lir::LNode{lir::LBreak{}});
-    return kernel;
-}
-
-TEST(MicroOpFallback, UndecodableKernelFallsBackToTreeWalk)
-{
-    if (sim::resolveEngine(sim::Engine::kAuto) != sim::Engine::kAuto)
-        GTEST_SKIP() << "TILUS_SIM_ENGINE pins the engine";
-    lir::Kernel kernel = undecodableKernel();
+    lir::Kernel kernel = testing::undecodableKernel();
     sim::MicroProgram program = sim::compileMicroProgram(kernel);
-    EXPECT_FALSE(program.ok());
+    ASSERT_FALSE(program.ok());
     EXPECT_FALSE(program.fallbackReason().empty());
 
     sim::RunOptions options;
     options.enable_print = false;
-    sim::SimStats stats = sim::run(kernel, {}, nullptr, options);
-    EXPECT_FALSE(stats.used_microops);
-    EXPECT_EQ(stats.microop_fallbacks, 1);
-    EXPECT_FALSE(stats.microop_fallback_reason.empty());
+    try {
+        sim::run(kernel, {}, nullptr, options);
+        FAIL() << "sim::run executed an undecodable kernel";
+    } catch (const TilusError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'undecodable'"), std::string::npos) << what;
+        EXPECT_NE(what.find(program.fallbackReason()), std::string::npos)
+            << what;
+    }
+
+    // The tree walk stays available as the oracle's reference engine.
+    options.engine = sim::Engine::kTreeWalk;
+    EXPECT_NO_THROW(sim::run(kernel, {}, nullptr, options));
 }
 
-TEST(MicroOpFallback, ForcedMicroOpsOnUndecodableKernelThrows)
+TEST(MicroOpDecode, ConditionNested300DeepDecodes)
 {
-    lir::Kernel kernel = undecodableKernel();
-    sim::RunOptions options;
-    options.enable_print = false;
-    options.engine = sim::Engine::kMicroOps;
-    EXPECT_THROW(sim::run(kernel, {}, nullptr, options), TilusError);
+    // A verified program whose branch condition nests max(n + i,
+    // e * n + i) 300 deep: each level keeps one operand on the
+    // evaluation stack, so the stack must grow past 256 entries.
+    lang::Script s("deep_condition", 1);
+    Var n = s.paramScalar("n");
+    Var p = s.paramPointer("p", tilus::float32());
+    s.setGrid({constInt(1)});
+    auto g = s.viewGlobal(p, tilus::float32(), {constInt(256)});
+    Layout layout = spatial(32);
+    s.forRange(constInt(4), [&](Var i) {
+        Expr e = i;
+        for (int depth = 0; depth < 300; ++depth)
+            e = maxExpr(Expr(n) + Expr(i), e * Expr(n) + Expr(i));
+        // n = 1: e is 1, 301, 602, 903 for i = 0..3.
+        s.ifThen(e < constInt(400), [&] {
+            auto r = s.loadGlobal(g, layout, {Expr(i) * 32}, "r");
+            s.storeGlobal(r, g, {Expr(i) * 32 + 128});
+        });
+    });
+    lir::Kernel kernel = compiler::compile(s.finish(), {}); // verifies
+
+    sim::MicroProgram program = sim::compileMicroProgram(kernel);
+    ASSERT_TRUE(program.ok()) << program.fallbackReason();
+    EXPECT_GT(program.maxStack(), 256);
+
+    opt::OracleConfig config;
+    config.scalars = {{"n", 1}};
+    opt::OracleReport report = opt::diffEngines(kernel, config);
+    EXPECT_TRUE(report.identical) << report.detail;
+    EXPECT_GT(report.stats_opt.global_store_bytes, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -340,8 +353,6 @@ TEST(MicroOpFallback, ForcedMicroOpsOnUndecodableKernelThrows)
 
 TEST(MicroOpRuntime, LaunchUsesCachedProgram)
 {
-    if (sim::resolveEngine(sim::Engine::kAuto) == sim::Engine::kTreeWalk)
-        GTEST_SKIP() << "TILUS_SIM_ENGINE pins the tree walk";
     auto cfg = baseConfig(tilus::uint4());
     cfg.stages = 1;
     runtime::Runtime rt(sim::l40s());
@@ -361,7 +372,6 @@ TEST(MicroOpRuntime, LaunchUsesCachedProgram)
     PackedBuffer a = testing::randomActivations(m * cfg.k, 31);
     PackedBuffer b = testing::randomWeights(cfg.wdtype, cfg.k * cfg.n, 32);
     auto run = testing::runMatmul(rt, cfg, m, a, b, nullptr);
-    EXPECT_TRUE(run.stats.used_microops);
     auto want = testing::referenceMatmul(cfg, m, a, b, nullptr);
     EXPECT_LT(testing::maxRelativeError(run.result, want), 2e-2);
 }

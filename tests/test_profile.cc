@@ -162,7 +162,6 @@ TEST(ProfileConservation, SuiteKernelsBothEnginesBothLevels)
             obs::ProfileCollector tree(kernel);
             sim::SimStats tree_stats =
                 profiledRun(kernel, sim::Engine::kTreeWalk, tree);
-            EXPECT_FALSE(tree_stats.used_microops);
             EXPECT_EQ(tree.attributedTotals(),
                       static_cast<const sim::Counters &>(tree_stats))
                 << name << " " << tag << " (treewalk)";
@@ -172,7 +171,6 @@ TEST(ProfileConservation, SuiteKernelsBothEnginesBothLevels)
             obs::ProfileCollector micro(kernel);
             sim::SimStats micro_stats =
                 profiledRun(kernel, sim::Engine::kMicroOps, micro);
-            EXPECT_TRUE(micro_stats.used_microops);
             EXPECT_EQ(micro.attributedTotals(),
                       static_cast<const sim::Counters &>(micro_stats))
                 << name << " " << tag << " (microop)";
@@ -227,10 +225,8 @@ goldenProfile(compiler::OptLevel level)
     run.max_blocks = 1;
     run.enable_print = false;
     run.profile = &collector;
-    sim::SimStats stats = sim::run(kernel, env, nullptr, run);
-    return collector.finish(block_stats, env, sim::l40s(), {},
-                            stats.used_microops ? "microop"
-                                                : "treewalk");
+    sim::run(kernel, env, nullptr, run);
+    return collector.finish(block_stats, env, sim::l40s(), {}, "microop");
 }
 
 TEST(ProfileGolden, MainLoopBoundFlipsFromSerializationToDram)
@@ -386,7 +382,7 @@ TEST(ProfileDisarmed, RunsAreByteIdenticalWithAndWithoutProfiling)
     opt::runSeeded(kernel, config, plain_a);
     opt::runSeeded(kernel, config, plain_b);
     obs::ProfileCollector collector(kernel);
-    opt::runSeeded(kernel, config, armed, sim::Engine::kAuto,
+    opt::runSeeded(kernel, config, armed, sim::Engine::kMicroOps,
                    &collector);
 
     std::string detail;
