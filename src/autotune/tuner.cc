@@ -62,6 +62,16 @@ ghostEnv(const lir::Kernel &kernel, int64_t m)
 
 } // namespace
 
+kernels::MatmulConfig
+probeConfig(const kernels::MatmulConfig &config, int outers)
+{
+    kernels::MatmulConfig p = config;
+    p.k = config.bk * config.stages * outers;
+    if (p.group_size > 0)
+        p.group_size = p.bk;
+    return p;
+}
+
 sim::LatencyBreakdown
 estimateConfig(runtime::Runtime &rt, const kernels::MatmulConfig &config,
                int64_t m, const compiler::CompileOptions &opts,
@@ -71,11 +81,8 @@ estimateConfig(runtime::Runtime &rt, const kernels::MatmulConfig &config,
                    "estimateConfig: invalid config " << config.name());
     // Probe instances with 1 and 2 outer pipeline iterations.
     auto probe = [&](int outers) {
-        kernels::MatmulConfig p = config;
-        p.k = config.bk * config.stages * outers;
-        if (p.group_size > 0)
-            p.group_size = p.bk;
-        kernels::MatmulBundle bundle = kernels::buildMatmul(p);
+        kernels::MatmulBundle bundle =
+            kernels::buildMatmul(probeConfig(config, outers));
         const lir::Kernel &kernel =
             rt.getOrCompile(bundle.main_program, opts);
         // Via the runtime so the probe reuses the cached decoded program.
@@ -246,19 +253,18 @@ sweepCached(runtime::Runtime &rt, const SweepRequest &req,
 
     // Compile-ahead: every kernel the estimation loop will request (two
     // probe depths plus the full-depth instance per candidate), fanned
-    // out over the compile pool. The serial loop below then runs
-    // entirely against the runtime's in-memory tier.
+    // out over the compile pool, with the probes also pre-decoded there
+    // (full-depth kernels are only priced, never traced). The serial
+    // loop below then runs entirely against the runtime's in-memory
+    // tier and its decoded programs.
     cache::parallelFor(
         static_cast<int64_t>(candidates.size()), [&](int64_t i) {
             const kernels::MatmulConfig &cfg = candidates[i];
-            for (int outers = 1; outers <= 2; ++outers) {
-                kernels::MatmulConfig p = cfg;
-                p.k = cfg.bk * cfg.stages * outers;
-                if (p.group_size > 0)
-                    p.group_size = p.bk;
-                rt.getOrCompile(kernels::buildMatmul(p).main_program,
-                                req.opts);
-            }
+            for (int outers = 1; outers <= 2; ++outers)
+                rt.cachedProgram(rt.getOrCompile(
+                    kernels::buildMatmul(probeConfig(cfg, outers))
+                        .main_program,
+                    req.opts));
             rt.getOrCompile(kernels::buildMatmul(cfg).main_program,
                             req.opts);
         });

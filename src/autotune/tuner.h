@@ -48,6 +48,14 @@ struct TuneSpace
 };
 
 /**
+ * The probe instance of `config` with `outers` outer pipeline iterations
+ * (k = bk * stages * outers; grouped scales shrink to one group per
+ * k-tile). estimateConfig traces outers 1 and 2 and extrapolates.
+ */
+kernels::MatmulConfig probeConfig(const kernels::MatmulConfig &config,
+                                  int outers);
+
+/**
  * Estimate one configuration's latency on `rt`'s GPU for token count `m`
  * via probe-trace extrapolation (no full-depth execution).
  */

@@ -506,6 +506,98 @@ structuralKey(const Expr &expr)
 }
 
 bool
+StructuralIds::Shape::operator==(const Shape &o) const
+{
+    return tag == o.tag && op == o.op && payload == o.payload &&
+           kids[0] == o.kids[0] && kids[1] == o.kids[1] &&
+           kids[2] == o.kids[2];
+}
+
+size_t
+StructuralIds::ShapeHash::operator()(const Shape &s) const
+{
+    uint64_t h = (static_cast<uint64_t>(s.tag) << 8 | s.op) *
+                 0x9e3779b97f4a7c15ull;
+    for (uint64_t v : {static_cast<uint64_t>(s.payload), uint64_t{s.kids[0]},
+                       uint64_t{s.kids[1]}, uint64_t{s.kids[2]}})
+        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    return static_cast<size_t>(h);
+}
+
+uint32_t
+StructuralIds::of(const Expr &expr)
+{
+    return entry(expr).id;
+}
+
+int64_t
+StructuralIds::nodeCount(const Expr &expr)
+{
+    return entry(expr).nodes;
+}
+
+const StructuralIds::Entry &
+StructuralIds::entry(const Expr &expr)
+{
+    auto [it, inserted] = memo_.try_emplace(expr.get());
+    Entry &e = it->second; // unordered_map references survive rehash
+    if (!inserted)
+        return e;
+    e.pin = expr;
+    Shape shape;
+    int64_t nodes = 1;
+    auto kid = [&](int slot, const Expr &child) {
+        const Entry &k = entry(child);
+        shape.kids[slot] = k.id;
+        nodes += k.nodes;
+    };
+    switch (expr->kind()) {
+      case ExprKind::kConst: {
+        const auto &node = static_cast<const ConstNode &>(*expr);
+        if (node.dtype().isFloat()) {
+            shape.tag = 'f';
+            std::memcpy(&shape.payload, &node.fvalue, sizeof(shape.payload));
+        } else {
+            shape.tag = 'c';
+            shape.payload = node.ivalue;
+        }
+        break;
+      }
+      case ExprKind::kVar:
+        shape.tag = 'v';
+        shape.payload = static_cast<const VarNode &>(*expr).id;
+        break;
+      case ExprKind::kUnary: {
+        const auto &node = static_cast<const UnaryNode &>(*expr);
+        shape.tag = 'u';
+        shape.op = static_cast<uint8_t>(node.op);
+        kid(0, node.a);
+        break;
+      }
+      case ExprKind::kBinary: {
+        const auto &node = static_cast<const BinaryNode &>(*expr);
+        shape.tag = 'b';
+        shape.op = static_cast<uint8_t>(node.op);
+        kid(0, node.a);
+        kid(1, node.b);
+        break;
+      }
+      case ExprKind::kSelect: {
+        const auto &node = static_cast<const SelectNode &>(*expr);
+        shape.tag = 's';
+        kid(0, node.cond);
+        kid(1, node.on_true);
+        kid(2, node.on_false);
+        break;
+      }
+    }
+    const uint32_t fresh = static_cast<uint32_t>(shapes_.size()) + 1;
+    e.id = shapes_.try_emplace(shape, fresh).first->second;
+    e.nodes = nodes;
+    return e;
+}
+
+bool
 referencesVar(const Expr &expr, int var_id)
 {
     switch (expr->kind()) {

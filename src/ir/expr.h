@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dtype/data_type.h"
@@ -336,6 +337,51 @@ int64_t exprNodeCount(const Expr &expr);
  * toString(), distinct variables sharing a display name do not collide.
  */
 std::string structuralKey(const Expr &expr);
+
+/**
+ * Hash-consed structural ids: of(a) == of(b) exactly when
+ * structuralKey(a) == structuralKey(b), without rendering any string.
+ * Ids are interned bottom-up and memoized by node address, so each
+ * distinct node is interned once; memoized nodes are pinned, so a freed
+ * address is never recycled into a stale hit. Ids are dense from 1 and
+ * meaningful within one instance only.
+ */
+class StructuralIds
+{
+  public:
+    uint32_t of(const Expr &expr);
+
+    /** exprNodeCount(expr), memoized alongside the id. */
+    int64_t nodeCount(const Expr &expr);
+
+  private:
+    /** One node over its children's ids: exactly the fields
+        structuralKey renders (never the dtype). */
+    struct Shape
+    {
+        char tag; ///< 'c' int const, 'f' float const, 'v', 'u', 'b', 's'
+        uint8_t op = 0;
+        int64_t payload = 0; ///< integer value, float bits or var id
+        uint32_t kids[3] = {0, 0, 0};
+
+        bool operator==(const Shape &o) const;
+    };
+    struct ShapeHash
+    {
+        size_t operator()(const Shape &s) const;
+    };
+    struct Entry
+    {
+        Expr pin;
+        uint32_t id = 0;
+        int64_t nodes = 0;
+    };
+
+    const Entry &entry(const Expr &expr);
+
+    std::unordered_map<const ExprNode *, Entry> memo_;
+    std::unordered_map<Shape, uint32_t, ShapeHash> shapes_;
+};
 
 /**
  * Try to decompose @p expr as `base + v * stride` where neither @p base

@@ -17,8 +17,18 @@
  * rewrites the sites to reference the temporary. Hoisting is pure
  * arithmetic: evaluating an address subtree early cannot fault (LIR
  * divisions are by nonzero constants), so a zero-trip loop stays safe.
+ *
+ * Cost is linear in the expression nodes of each loop's sites. One
+ * ir::StructuralIds per pass run memoizes each node's hash-consed
+ * structural id (equal iff ir::structuralKey would render the two
+ * nodes equal) and node count, both built bottom-up; invariance is
+ * memoized per loop against a hashed forbidden set. Candidates and the
+ * rewrite are keyed by structural id, and the rewrite looks up only
+ * invariant compound nodes (no other node can share a candidate's id).
  */
-#include <map>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "opt/lir_rewrite.h"
 #include "opt/pass.h"
@@ -30,29 +40,14 @@ namespace {
 
 using namespace tilus::lir;
 
-/** Variable ids that make a subexpression non-hoistable. */
-struct Forbidden
-{
-    std::vector<int> ids;
-
-    bool
-    contains(int id) const
-    {
-        for (int x : ids)
-            if (x == id)
-                return true;
-        return false;
-    }
-};
-
 /** Ids defined inside the subtree: loop variables and LAssign targets. */
 void
-collectDefinedVars(const LBody &body, std::vector<int> &out)
+collectDefinedVars(const LBody &body, std::unordered_set<int> &out)
 {
     for (const LNode &node : body) {
         if (std::holds_alternative<LFor>(node.node)) {
             const auto &loop = std::get<LFor>(node.node);
-            out.push_back(loop.var.id());
+            out.insert(loop.var.id());
             collectDefinedVars(*loop.body, out);
         } else if (std::holds_alternative<LIf>(node.node)) {
             const auto &branch = std::get<LIf>(node.node);
@@ -62,54 +57,26 @@ collectDefinedVars(const LBody &body, std::vector<int> &out)
         } else if (std::holds_alternative<LWhile>(node.node)) {
             collectDefinedVars(*std::get<LWhile>(node.node).body, out);
         } else if (std::holds_alternative<LAssign>(node.node)) {
-            out.push_back(std::get<LAssign>(node.node).var.id());
+            out.insert(std::get<LAssign>(node.node).var.id());
         }
     }
 }
 
 bool
-isHoistable(const ir::Expr &expr, const Forbidden &forbidden)
+isCompound(const ir::Expr &e)
 {
-    std::vector<int> ids;
-    ir::collectVarIds(expr, ids);
-    for (int id : ids)
-        if (forbidden.contains(id))
-            return false;
-    return true;
+    return e->kind() == ir::ExprKind::kUnary ||
+           e->kind() == ir::ExprKind::kBinary ||
+           e->kind() == ir::ExprKind::kSelect;
 }
 
-/** One hoisting candidate, keyed structurally. */
+/** One hoisting candidate: a structural class of topmost subtrees. */
 struct HoistCandidate
 {
-    ir::Expr expr;
+    ir::Expr expr; ///< first occurrence (the hoisted value)
     int64_t count = 0;
     int64_t nodes = 0;
-    int64_t first_seen = 0; ///< deterministic ordering
-};
-
-/**
- * Pointer-memoized ir::structuralKey. Serializing whole subtrees at
- * every compound node of every site would be quadratic; expressions
- * are immutable and widely shared, so one serialization per node
- * suffices. Cached expressions are pinned (the Expr is stored next to
- * its key) so a freed node's address can never be recycled into a
- * stale cache hit mid-rewrite.
- */
-class KeyCache
-{
-  public:
-    const std::string &
-    of(const ir::Expr &e)
-    {
-        auto [it, inserted] = cache_.try_emplace(e.get());
-        if (inserted)
-            it->second = {e, ir::structuralKey(e)};
-        return it->second.second;
-    }
-
-  private:
-    std::map<const ir::ExprNode *, std::pair<ir::Expr, std::string>>
-        cache_;
+    ir::Expr temp; ///< the preheader temporary, once selected
 };
 
 class AddressHoist : public Pass
@@ -124,37 +91,33 @@ class AddressHoist : public Pass
     bool
     run(Kernel &kernel) override
     {
-        Forbidden base;
-        base.ids.push_back(tidVar().id());
         next_temp_ = 0;
-        keys_ = KeyCache();
-        return processBody(kernel.body, base);
+        ids_ = ir::StructuralIds();
+        return processBody(kernel.body);
     }
 
   private:
     bool
-    processBody(LBody &body, const Forbidden &outer_forbidden)
+    processBody(LBody &body)
     {
         bool changed = false;
         for (size_t i = 0; i < body.size(); ++i) {
             LNode &node = body[i];
             if (std::holds_alternative<LFor>(node.node)) {
                 auto &loop = std::get<LFor>(node.node);
-                size_t inserted = hoistLoop(loop, outer_forbidden, body, i);
+                size_t inserted = hoistLoop(loop, body, i);
                 changed |= inserted > 0;
                 i += inserted; // skip the new preheader assigns
                 // `node`/`loop` may be dangling after insertion; re-fetch.
                 auto &loop2 = std::get<LFor>(body[i].node);
-                changed |= processBody(*loop2.body, outer_forbidden);
+                changed |= processBody(*loop2.body);
             } else if (std::holds_alternative<LIf>(node.node)) {
                 auto &branch = std::get<LIf>(node.node);
-                changed |= processBody(*branch.then_body, outer_forbidden);
+                changed |= processBody(*branch.then_body);
                 if (branch.else_body)
-                    changed |=
-                        processBody(*branch.else_body, outer_forbidden);
+                    changed |= processBody(*branch.else_body);
             } else if (std::holds_alternative<LWhile>(node.node)) {
-                changed |= processBody(*std::get<LWhile>(node.node).body,
-                                       outer_forbidden);
+                changed |= processBody(*std::get<LWhile>(node.node).body);
             }
         }
         return changed;
@@ -165,47 +128,40 @@ class AddressHoist : public Pass
      * at `body[index]`; returns the number of inserted nodes.
      */
     size_t
-    hoistLoop(LFor &loop, const Forbidden &outer_forbidden, LBody &body,
-              size_t index)
+    hoistLoop(LFor &loop, LBody &body, size_t index)
     {
-        Forbidden forbidden = outer_forbidden;
-        forbidden.ids.push_back(loop.var.id());
-        collectDefinedVars(*loop.body, forbidden.ids);
+        // Invariant: no tid, no loop variable, nothing defined inside.
+        forbidden_.clear();
+        forbidden_.insert(tidVar().id());
+        forbidden_.insert(loop.var.id());
+        collectDefinedVars(*loop.body, forbidden_);
+        invariant_.clear();
 
-        // Gather topmost invariant subtrees over every expression site.
-        std::map<std::string, HoistCandidate> candidates;
-        int64_t order = 0;
-        forEachBodyExpr(*loop.body, [&](ir::Expr &e) {
-            gather(e, forbidden, candidates, order, keys_);
-        });
+        // Gather topmost invariant subtrees over every expression site,
+        // one candidate per structural id, in first-occurrence order.
+        candidates_.clear();
+        candidate_of_.clear();
+        forEachBodyExpr(*loop.body, [&](ir::Expr &e) { gather(e); });
 
-        // Select and order deterministically by first occurrence.
-        std::vector<const HoistCandidate *> selected;
-        for (const auto &[key, cand] : candidates) {
-            (void)key;
-            if ((cand.count >= 2 && cand.nodes >= 2) || cand.nodes >= 4)
-                selected.push_back(&cand);
-        }
-        if (selected.empty())
-            return 0;
-        std::sort(selected.begin(), selected.end(),
-                  [](const HoistCandidate *a, const HoistCandidate *b) {
-                      return a->first_seen < b->first_seen;
-                  });
-
-        // Create temporaries and the structural rewrite map.
-        std::map<std::string, ir::Expr> rewrite;
         LBody assigns;
-        for (const HoistCandidate *cand : selected) {
-            ir::Var temp = ir::Var::make(
-                "inv" + std::to_string(next_temp_++),
-                cand->expr->dtype());
-            assigns.push_back(LNode{LAssign{temp, cand->expr}});
-            rewrite.emplace(keys_.of(cand->expr), ir::Expr(temp));
+        for (HoistCandidate &cand : candidates_) {
+            if ((cand.count >= 2 && cand.nodes >= 2) || cand.nodes >= 4) {
+                ir::Var temp = ir::Var::make(
+                    "inv" + std::to_string(next_temp_++),
+                    cand.expr->dtype());
+                cand.temp = temp;
+                assigns.push_back(LNode{LAssign{temp, cand.expr}});
+            }
         }
+        if (assigns.empty())
+            return 0;
 
+        // The replaced site trees stay alive until the rewrite is done,
+        // so no address in invariant_ is recycled under it.
+        std::vector<ir::Expr> replaced;
         forEachBodyExpr(*loop.body, [&](ir::Expr &e) {
-            e = rewriteExpr(e, rewrite);
+            ir::Expr rewritten = rewriteExpr(e);
+            replaced.push_back(std::exchange(e, std::move(rewritten)));
         });
 
         const size_t n = assigns.size();
@@ -215,45 +171,66 @@ class AddressHoist : public Pass
         return n;
     }
 
-    /** Record the topmost hoistable subtrees of `e`. */
-    static void
-    gather(const ir::Expr &e, const Forbidden &forbidden,
-           std::map<std::string, HoistCandidate> &candidates,
-           int64_t &order, KeyCache &keys)
+    /** Whether @p e avoids the current loop's forbidden set (bottom-up;
+        compound nodes are memoized per loop). */
+    bool
+    invariant(const ir::Expr &e)
     {
-        const bool compound = e->kind() == ir::ExprKind::kUnary ||
-                              e->kind() == ir::ExprKind::kBinary ||
-                              e->kind() == ir::ExprKind::kSelect;
-        if (!compound)
+        switch (e->kind()) {
+          case ir::ExprKind::kConst:
+            return true;
+          case ir::ExprKind::kVar:
+            return forbidden_.count(
+                       static_cast<const ir::VarNode &>(*e).id) == 0;
+          default:
+            break;
+        }
+        auto [it, inserted] = invariant_.try_emplace(e.get(), false);
+        if (!inserted)
+            return it->second;
+        bool &memo = it->second; // unordered_map references survive rehash
+        if (e->kind() == ir::ExprKind::kUnary) {
+            memo = invariant(static_cast<const ir::UnaryNode &>(*e).a);
+        } else if (e->kind() == ir::ExprKind::kBinary) {
+            const auto &node = static_cast<const ir::BinaryNode &>(*e);
+            memo = invariant(node.a) & invariant(node.b);
+        } else {
+            const auto &node = static_cast<const ir::SelectNode &>(*e);
+            memo = invariant(node.cond) & invariant(node.on_true) &
+                   invariant(node.on_false);
+        }
+        return memo;
+    }
+
+    /** Record the topmost invariant compound subtrees of `e`. */
+    void
+    gather(const ir::Expr &e)
+    {
+        if (!isCompound(e))
             return;
-        if (isHoistable(e, forbidden)) {
+        if (invariant(e)) {
             auto [it, inserted] =
-                candidates.emplace(keys.of(e), HoistCandidate{});
-            if (inserted) {
-                it->second.expr = e;
-                it->second.nodes = ir::exprNodeCount(e);
-                it->second.first_seen = order;
-            }
-            it->second.count += 1;
-            ++order;
+                candidate_of_.try_emplace(ids_.of(e), candidates_.size());
+            if (inserted)
+                candidates_.push_back({e, 0, ids_.nodeCount(e), nullptr});
+            candidates_[it->second].count += 1;
             return; // topmost only: do not descend
         }
         switch (e->kind()) {
           case ir::ExprKind::kUnary:
-            gather(static_cast<const ir::UnaryNode &>(*e).a, forbidden,
-                   candidates, order, keys);
+            gather(static_cast<const ir::UnaryNode &>(*e).a);
             break;
           case ir::ExprKind::kBinary: {
             const auto &node = static_cast<const ir::BinaryNode &>(*e);
-            gather(node.a, forbidden, candidates, order, keys);
-            gather(node.b, forbidden, candidates, order, keys);
+            gather(node.a);
+            gather(node.b);
             break;
           }
           case ir::ExprKind::kSelect: {
             const auto &node = static_cast<const ir::SelectNode &>(*e);
-            gather(node.cond, forbidden, candidates, order, keys);
-            gather(node.on_true, forbidden, candidates, order, keys);
-            gather(node.on_false, forbidden, candidates, order, keys);
+            gather(node.cond);
+            gather(node.on_true);
+            gather(node.on_false);
             break;
           }
           default:
@@ -261,25 +238,27 @@ class AddressHoist : public Pass
         }
     }
 
-    /** Replace every mapped subtree with its temporary, top-down. */
+    /** Replace every selected subtree with its temporary, top-down.
+        Only an invariant compound node can share a candidate's id. */
     ir::Expr
-    rewriteExpr(const ir::Expr &e,
-                const std::map<std::string, ir::Expr> &rewrite)
+    rewriteExpr(const ir::Expr &e)
     {
         return ir::mapExpr(e, [&](const ir::Expr &sub) -> ir::Expr {
-            const bool compound =
-                sub->kind() == ir::ExprKind::kUnary ||
-                sub->kind() == ir::ExprKind::kBinary ||
-                sub->kind() == ir::ExprKind::kSelect;
-            if (!compound)
+            if (!isCompound(sub) || !invariant(sub))
                 return nullptr;
-            auto it = rewrite.find(keys_.of(sub));
-            return it != rewrite.end() ? it->second : nullptr;
+            auto it = candidate_of_.find(ids_.of(sub));
+            return it != candidate_of_.end() ? candidates_[it->second].temp
+                                             : nullptr;
         });
     }
 
     int next_temp_ = 0;
-    KeyCache keys_;
+    ir::StructuralIds ids_; ///< per pass run
+    // Per-loop state of hoistLoop.
+    std::unordered_set<int> forbidden_;
+    std::unordered_map<const ir::ExprNode *, bool> invariant_;
+    std::vector<HoistCandidate> candidates_;
+    std::unordered_map<uint32_t, size_t> candidate_of_;
 };
 
 } // namespace

@@ -169,21 +169,35 @@ Runtime::getOrCompile(const ir::Program &program,
 const sim::MicroProgram *
 Runtime::cachedProgram(const lir::Kernel &kernel) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(&kernel);
-    if (it == entries_.end())
-        return nullptr;
-    CachedKernel &entry = *it->second;
-    if (!entry.program) {
+    CachedKernel *entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(&kernel);
+        if (it == entries_.end())
+            return nullptr;
+        entry = it->second;
+        if (entry->program)
+            return entry->program.get();
+    }
+    // Decode outside the lock so the compile-ahead pool decodes probes
+    // in parallel; entries are address-stable and their kernels
+    // immutable. A racing decode of the same kernel is discarded, and
+    // only the installed one is counted.
+    std::unique_ptr<sim::MicroProgram> program;
+    {
         obs::Span span("sim", "microop-decode");
         span.arg("kernel", kernel.name);
+        program = std::make_unique<sim::MicroProgram>(
+            sim::compileMicroProgram(kernel));
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!entry->program) {
+        entry->program = std::move(program);
         obs::Registry::instance()
             .counter("sim_microop_decodes_total")
             .add();
-        entry.program = std::make_unique<sim::MicroProgram>(
-            sim::compileMicroProgram(kernel));
     }
-    return entry.program.get();
+    return entry->program.get();
 }
 
 ir::Env

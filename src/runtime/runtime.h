@@ -84,9 +84,9 @@ class Runtime
      * program never alias. Lookup order: in-memory tier, then the
      * on-disk artifact store (skipped when TILUS_CACHE=off or
      * setDiskCache(nullptr)), then compiler::compile — freshly compiled
-     * kernels are persisted to disk. The kernel is pre-decoded for the
-     * micro-op engine lazily, so every launch and autotune probe of a
-     * cached kernel pays decode once.
+     * kernels are persisted to disk. Decode for the micro-op engine is
+     * separate (cachedProgram), so every launch and autotune probe of a
+     * cached kernel pays it once.
      *
      * Thread-safe: cold autotune sweeps call this concurrently from the
      * compile-ahead pool (cache/compile_pool.h). Racing compilations of
@@ -110,6 +110,12 @@ class Runtime
      * The cached pre-decoded program for a kernel obtained from
      * getOrCompile, decoding it on first use (null for foreign kernels;
      * sim::run then decodes on the fly).
+     *
+     * Thread-safe: decode runs outside the runtime lock, and the first
+     * program installed for a kernel is the one every caller gets (a
+     * racing duplicate is discarded; sim_microop_decodes_total counts
+     * installs only). Cold autotune sweeps pre-decode their probe
+     * kernels this way on the compile-ahead pool.
      */
     const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel) const;
 
@@ -147,12 +153,13 @@ class Runtime
 
     sim::GpuSpec spec_;
     sim::Device device_;
-    /// Guards cache_/entries_/lazy decode; the simulated device itself
-    /// is NOT thread-safe — only compilation and ghost tracing may run
+    /// Guards cache_/entries_ and the install of decoded programs (the
+    /// decode itself runs unlocked). The simulated device is NOT
+    /// thread-safe — only compilation, decode and ghost tracing may run
     /// concurrently, launches stay single-threaded.
     mutable std::mutex mutex_;
-    /// Values are decoded lazily by cachedProgram; node addresses are
-    /// stable, so entries_ may point into the map.
+    /// Programs are installed lazily by cachedProgram; node addresses
+    /// are stable, so entries_ may point into the map.
     mutable std::map<cache::Fingerprint, CachedKernel> cache_;
     mutable std::map<const lir::Kernel *, CachedKernel *> entries_;
     cache::KernelCache *disk_cache_ = &cache::KernelCache::instance();

@@ -11,11 +11,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "autotune/tuner.h"
+#include "cache/compile_pool.h"
 #include "compiler/compiler.h"
 #include "dtype/packing.h"
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
 #include "lang/script.h"
+#include "obs/metrics.h"
 #include "opt/oracle.h"
 #include "runtime/runtime.h"
 #include "sim/interpreter.h"
@@ -374,6 +379,98 @@ TEST(MicroOpRuntime, LaunchUsesCachedProgram)
     auto run = testing::runMatmul(rt, cfg, m, a, b, nullptr);
     auto want = testing::referenceMatmul(cfg, m, a, b, nullptr);
     EXPECT_LT(testing::maxRelativeError(run.result, want), 2e-2);
+}
+
+TEST(MicroOpRuntime, ConcurrentDecodeInstallsOneProgramPerKernel)
+{
+    // Many pool tasks race on the same few kernels: each kernel decodes
+    // (at least once, outside the runtime lock) but installs exactly one
+    // program, every caller sees that program, and the decode counter
+    // moves once per distinct kernel.
+    runtime::Runtime rt(sim::l40s());
+    rt.setDiskCache(nullptr);
+    std::vector<const lir::Kernel *> kernels;
+    for (int stages : {1, 2}) {
+        for (bool tc : {true, false}) {
+            auto cfg = baseConfig(tilus::uint4());
+            cfg.stages = stages;
+            if (!tc) {
+                cfg.bm = 2;
+                cfg.bn = 128;
+                cfg.simt_warps = 2;
+                cfg.use_tensor_cores = false;
+            }
+            kernels.push_back(&rt.getOrCompile(
+                kernels::buildMatmul(cfg).main_program, {}));
+        }
+    }
+    auto &decodes =
+        obs::Registry::instance().counter("sim_microop_decodes_total");
+    const int64_t before = decodes.value();
+    constexpr int64_t kTasks = 64;
+    std::vector<const sim::MicroProgram *> seen(kTasks);
+    cache::parallelFor(
+        kTasks,
+        [&](int64_t i) {
+            seen[i] = rt.cachedProgram(*kernels[i % kernels.size()]);
+        },
+        /*threads=*/4);
+    EXPECT_EQ(decodes.value() - before,
+              static_cast<int64_t>(kernels.size()));
+    for (int64_t i = 0; i < kTasks; ++i) {
+        const lir::Kernel &kernel = *kernels[i % kernels.size()];
+        ASSERT_NE(seen[i], nullptr);
+        EXPECT_TRUE(seen[i]->ok()) << seen[i]->fallbackReason();
+        EXPECT_EQ(seen[i], rt.cachedProgram(kernel)) << "task " << i;
+    }
+    EXPECT_EQ(decodes.value() - before,
+              static_cast<int64_t>(kernels.size()));
+}
+
+TEST(MicroOpRuntime, ColdSweepDecodesEachProbeKernelOnce)
+{
+    // A cold sweep pre-decodes its probe kernels (outers 1 and 2) on
+    // the compile pool; the serial estimation loop reuses them and the
+    // full-depth kernels, which are only priced, are never decoded.
+    autotune::SweepRequest req;
+    req.n = 256;
+    req.k = 256;
+    req.m = 12; // both template families: tensor core and SIMT
+    req.space.bm_tc = {16};
+    req.space.bn = {64, 128};
+    req.space.bk = {32};
+    req.space.warps_m = {1};
+    req.space.warps_n = {2};
+    req.space.simt_warps = {2};
+    req.space.stages = {1, 2};
+
+    std::set<cache::Fingerprint> probes, full;
+    for (const kernels::MatmulConfig &cfg : autotune::enumerateConfigs(
+             req.wdtype, req.n, req.k, req.m, req.space)) {
+        for (int outers = 1; outers <= 2; ++outers)
+            probes.insert(cache::fingerprintProgram(
+                kernels::buildMatmul(autotune::probeConfig(cfg, outers))
+                    .main_program,
+                req.opts));
+        full.insert(cache::fingerprintProgram(
+            kernels::buildMatmul(cfg).main_program, req.opts));
+    }
+    ASSERT_GT(probes.size(), 4u);
+    for (const cache::Fingerprint &fp : full)
+        ASSERT_EQ(probes.count(fp), 0u) << "full-depth kernel is a probe";
+
+    runtime::Runtime rt(sim::l40s());
+    rt.setDiskCache(nullptr);
+    cache::TuneDb db("", /*enabled=*/false);
+    auto &decodes =
+        obs::Registry::instance().counter("sim_microop_decodes_total");
+    const int64_t before = decodes.value();
+    autotune::TuneResult result = autotune::sweepCached(rt, req, &db);
+    EXPECT_GT(result.candidates_tried, 0);
+    EXPECT_EQ(rt.compileCount(),
+              static_cast<int>(probes.size() + full.size()));
+    EXPECT_EQ(decodes.value() - before,
+              static_cast<int64_t>(probes.size()));
 }
 
 // ---------------------------------------------------------------------

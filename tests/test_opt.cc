@@ -5,20 +5,30 @@
  * per-pass unit tests (software pipelining, synchronization elimination
  * with must-not-fire fixtures, loop-invariant address hoisting, dead
  * tensor/storage elimination), interpreter cp.async hazard coverage
- * (a missing wait observably yields stale shared memory), and the
- * PassManager's instrumented per-pass reports.
+ * (a missing wait observably yields stale shared memory), the
+ * PassManager's instrumented per-pass reports, and the structural ids
+ * addr-hoist keys its candidates by (they must partition expressions
+ * exactly as ir::structuralKey does).
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <map>
+
 #include "compiler/compiler.h"
+#include "fuzz/generator.h"
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
 #include "lang/script.h"
 #include "layout/atoms.h"
+#include "opt/lir_rewrite.h"
 #include "opt/oracle.h"
 #include "opt/pass_manager.h"
 #include "runtime/runtime.h"
 #include "sim/interpreter.h"
+#include "support/error.h"
+#include "support/rng.h"
 #include "test_helpers.h"
 
 namespace tilus {
@@ -432,6 +442,59 @@ TEST(AddrHoist, HoistsInvariantSubtreesIntoPreheader)
     expectOracleIdentical(prog, 500);
 }
 
+TEST(AddrHoist, NestedLoopHoistsOverOuterTemporariesGolden)
+{
+    // The outer loop hoists the block base into inv0; the inner loop
+    // then hoists its own invariant over the rewritten sites, an
+    // expression of inv0 and the outer loop variable. The listing is
+    // pinned: the pass's selection rule, first-occurrence order and
+    // invN numbering must not drift.
+    lang::Script s("nested_hoist", 1);
+    Var p = s.paramPointer("p", tilus::float32());
+    Var q = s.paramPointer("q", tilus::float32());
+    s.setGrid({constInt(2)});
+    auto idx = s.blockIndices();
+    Var b = idx[0];
+    auto gin = s.viewGlobal(p, tilus::float32(), {constInt(4096)}, "gin");
+    auto gout =
+        s.viewGlobal(q, tilus::float32(), {constInt(4096)}, "gout");
+    Layout layout = spatial(32) * local(2);
+    s.forRange(constInt(4), [&](Var i) {
+        Expr base = (Expr(b) * 2048) / 2 + 128;
+        s.forRange(constInt(3), [&](Var j) {
+            Expr row = base + Expr(i) * 256;
+            auto r = s.loadGlobal(gin, layout, {row + Expr(j) * 64}, "r");
+            s.storeGlobal(r, gout, {row + Expr(j) * 64});
+        });
+    });
+    ir::Program prog = s.finish();
+
+    const std::string golden =
+        "// kernel nested_hoist  threads=32  smem=0B workspace=0B\n"
+        "//   tensor r: f32 storage=0 (64b/thread) "
+        "layout=spatial(32).local(2)\n"
+        "inv0 = (p * 8)\n"
+        "inv1 = (((bi * 2048) / 2) + 128)\n"
+        "inv2 = (q * 8)\n"
+        "for i0 in range(4):\n"
+        "  inv3 = (inv1 + (i0 * 256))\n"
+        "  for i1 in range(3):\n"
+        "    ldg.b32 r+0, "
+        "[((inv0 + (((inv3 + (i1 * 64)) + (tid * 2)) * 32)) / 8)]"
+        " @(((inv3 + (i1 * 64)) + (tid * 2)) < 4096)\n"
+        "    ldg.b32 r+4, "
+        "[((inv0 + (((inv3 + (i1 * 64)) + ((tid * 2) + 1)) * 32)) / 8)]"
+        " @(((inv3 + (i1 * 64)) + ((tid * 2) + 1)) < 4096)\n"
+        "    stg.b32 "
+        "[((inv2 + (((inv3 + (i1 * 64)) + (tid * 2)) * 32)) / 8)], r+0"
+        " @(((inv3 + (i1 * 64)) + (tid * 2)) < 4096)\n"
+        "    stg.b32 "
+        "[((inv2 + (((inv3 + (i1 * 64)) + ((tid * 2) + 1)) * 32)) / 8)], "
+        "r+4 @(((inv3 + (i1 * 64)) + ((tid * 2) + 1)) < 4096)\n";
+    EXPECT_EQ(lir::printKernel(compiler::compile(prog, {})), golden);
+    expectOracleIdentical(prog, 502);
+}
+
 TEST(AddrHoist, NeverHoistsThreadDependentAddresses)
 {
     // A tid-dependent address has no invariant topmost subtree bigger
@@ -442,6 +505,209 @@ TEST(AddrHoist, NeverHoistsThreadDependentAddresses)
     auto cfg = baseConfig(tilus::uint4());
     cfg.stages = 2;
     expectOracleIdentical(kernels::buildMatmul(cfg).main_program, 501);
+}
+
+// Structural ids (ir::StructuralIds, addr-hoist's candidate keys) must
+// partition expressions exactly as ir::structuralKey does.
+
+/** Pointer-distinct deep copy (bypasses the folding factories). */
+Expr
+cloneExpr(const Expr &e)
+{
+    switch (e->kind()) {
+      case ExprKind::kConst:
+        return std::make_shared<ConstNode>(
+            static_cast<const ConstNode &>(*e));
+      case ExprKind::kVar:
+        return std::make_shared<VarNode>(static_cast<const VarNode &>(*e));
+      case ExprKind::kUnary: {
+        const auto &node = static_cast<const UnaryNode &>(*e);
+        return std::make_shared<UnaryNode>(node.op, cloneExpr(node.a));
+      }
+      case ExprKind::kBinary: {
+        const auto &node = static_cast<const BinaryNode &>(*e);
+        return std::make_shared<BinaryNode>(node.op, cloneExpr(node.a),
+                                            cloneExpr(node.b),
+                                            node.dtype());
+      }
+      case ExprKind::kSelect: {
+        const auto &node = static_cast<const SelectNode &>(*e);
+        return std::make_shared<SelectNode>(cloneExpr(node.cond),
+                                            cloneExpr(node.on_true),
+                                            cloneExpr(node.on_false));
+      }
+    }
+    return e;
+}
+
+/** A near miss of @p e: one node on a random path changes its
+    operator, constant or variable. */
+Expr
+mutateExpr(const Expr &e, Rng &rng)
+{
+    switch (e->kind()) {
+      case ExprKind::kConst: {
+        auto node = std::make_shared<ConstNode>(
+            static_cast<const ConstNode &>(*e));
+        node->ivalue += 1;
+        node->fvalue = std::nextafter(node->fvalue, 1e300);
+        return node;
+      }
+      case ExprKind::kVar: {
+        auto node =
+            std::make_shared<VarNode>(static_cast<const VarNode &>(*e));
+        node->id += 1;
+        return node;
+      }
+      case ExprKind::kUnary: {
+        const auto &node = static_cast<const UnaryNode &>(*e);
+        if (rng.nextBelow(2) == 0)
+            return std::make_shared<UnaryNode>(
+                UnaryOp((static_cast<int>(node.op) + 1) % 3), node.a);
+        return std::make_shared<UnaryNode>(node.op,
+                                           mutateExpr(node.a, rng));
+      }
+      case ExprKind::kBinary: {
+        const auto &node = static_cast<const BinaryNode &>(*e);
+        switch (rng.nextBelow(3)) {
+          case 0:
+            return std::make_shared<BinaryNode>(
+                BinaryOp((static_cast<int>(node.op) + 1) % 20), node.a,
+                node.b, node.dtype());
+          case 1:
+            return std::make_shared<BinaryNode>(
+                node.op, mutateExpr(node.a, rng), node.b, node.dtype());
+          default:
+            return std::make_shared<BinaryNode>(
+                node.op, node.a, mutateExpr(node.b, rng), node.dtype());
+        }
+      }
+      case ExprKind::kSelect: {
+        const auto &node = static_cast<const SelectNode &>(*e);
+        return std::make_shared<SelectNode>(
+            node.cond, mutateExpr(node.on_true, rng), node.on_false);
+      }
+    }
+    return e;
+}
+
+/** Every subtree of @p e, preorder. */
+void
+collectSubtrees(const Expr &e, std::vector<Expr> &out)
+{
+    out.push_back(e);
+    switch (e->kind()) {
+      case ExprKind::kUnary:
+        collectSubtrees(static_cast<const UnaryNode &>(*e).a, out);
+        break;
+      case ExprKind::kBinary:
+        collectSubtrees(static_cast<const BinaryNode &>(*e).a, out);
+        collectSubtrees(static_cast<const BinaryNode &>(*e).b, out);
+        break;
+      case ExprKind::kSelect:
+        collectSubtrees(static_cast<const SelectNode &>(*e).cond, out);
+        collectSubtrees(static_cast<const SelectNode &>(*e).on_true, out);
+        collectSubtrees(static_cast<const SelectNode &>(*e).on_false, out);
+        break;
+      default:
+        break;
+    }
+}
+
+/** Id equality must match key equality over every pair of @p exprs:
+    key -> id and id -> key are both functions. */
+void
+expectIdsMatchKeys(const std::vector<Expr> &exprs)
+{
+    StructuralIds ids;
+    std::map<std::string, uint32_t> id_of_key;
+    std::map<uint32_t, std::string> key_of_id;
+    for (const Expr &e : exprs) {
+        const std::string key = structuralKey(e);
+        const uint32_t id = ids.of(e);
+        ASSERT_NE(id, 0u);
+        EXPECT_EQ(ids.nodeCount(e), exprNodeCount(e)) << key;
+        auto [k, k_new] = id_of_key.emplace(key, id);
+        EXPECT_EQ(k->second, id) << "one key, two ids: " << key;
+        auto [i, i_new] = key_of_id.emplace(id, key);
+        EXPECT_EQ(i->second, key) << "one id, two keys";
+    }
+}
+
+TEST(StructuralIds, EdgeCasesMatchStructuralKey)
+{
+    Var a = Var::make("a");
+    Var b = Var::make("b");
+    Var a_twin = Var::make("a"); // same name, distinct binding
+    auto floatBits = [](uint64_t bits) {
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        return constFloat(v);
+    };
+    const uint64_t one_bits = 0x3ff0000000000000ull;
+    StructuralIds ids;
+    auto same = [&](const Expr &x, const Expr &y) {
+        EXPECT_EQ(structuralKey(x) == structuralKey(y),
+                  ids.of(x) == ids.of(y))
+            << structuralKey(x) << " vs " << structuralKey(y);
+        return ids.of(x) == ids.of(y);
+    };
+    // Int vs float constant with the same bit pattern.
+    EXPECT_FALSE(same(constInt(static_cast<int64_t>(one_bits),
+                               tilus::int64()),
+                      constFloat(1.0)));
+    // Dtype is not part of the key: int32/int64 and f32/f64 twins.
+    EXPECT_TRUE(same(constInt(7, tilus::int32()),
+                     constInt(7, tilus::int64())));
+    EXPECT_TRUE(same(constFloat(1.5, tilus::float32()),
+                     constFloat(1.5, tilus::float64())));
+    // Signed zeros and NaN payloads are told apart by bit pattern.
+    EXPECT_FALSE(same(constFloat(0.0), constFloat(-0.0)));
+    EXPECT_FALSE(same(floatBits(0x7ff8000000000001ull),
+                      floatBits(0x7ff8000000000002ull)));
+    EXPECT_TRUE(same(floatBits(0x7ff8000000000001ull),
+                     floatBits(0x7ff8000000000001ull)));
+    // Min/max against each other and other binary operators.
+    EXPECT_TRUE(same(minExpr(a, b), minExpr(a, b)));
+    EXPECT_FALSE(same(minExpr(a, b), maxExpr(a, b)));
+    EXPECT_FALSE(same(minExpr(a, b), Expr(a) + Expr(b)));
+    EXPECT_FALSE(same(maxExpr(a, b), Expr(a) - Expr(b)));
+    EXPECT_FALSE(same(minExpr(a, b), minExpr(b, a)));
+    // Variables by identity, not by name.
+    EXPECT_FALSE(same(Expr(a) * 4, Expr(a_twin) * 4));
+    EXPECT_TRUE(same(Expr(a) * 4, Expr(a) * 4));
+}
+
+TEST(StructuralIds, FuzzProgramExpressionsMatchStructuralKey)
+{
+    // Every subtree of every expression site of seeded fuzz programs
+    // (O0 and O2 listings), plus pointer-distinct clones and near-miss
+    // mutations of each site.
+    Rng rng(0x5eed1d5);
+    std::vector<Expr> exprs;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        fuzz::Generated gen = fuzz::generateProgram(seed);
+        if (gen.expect_invalid)
+            continue;
+        for (compiler::OptLevel level :
+             {compiler::OptLevel::O0, compiler::OptLevel::O2}) {
+            compiler::CompileOptions options;
+            options.opt_level = level;
+            lir::Kernel kernel;
+            try {
+                kernel = compiler::compile(gen.program, options);
+            } catch (const TilusError &) {
+                continue;
+            }
+            opt::forEachBodyExpr(kernel.body, [&](const Expr &e) {
+                collectSubtrees(e, exprs);
+                collectSubtrees(cloneExpr(e), exprs);
+                collectSubtrees(mutateExpr(e, rng), exprs);
+            });
+        }
+    }
+    ASSERT_GT(exprs.size(), 10000u);
+    expectIdsMatchKeys(exprs);
 }
 
 // ---------------------------------------------------------------------
