@@ -10,7 +10,7 @@
  *  1. per-phase micro costs — program build, compiler::compile,
  *     content fingerprint, kernel serialize/deserialize;
  *  2. one full operator tuning pass, cold (fresh cache directory,
- *     compile-ahead pool active) vs warm (fresh Runtime, persistent
+ *     compile pool active) vs warm (fresh Runtime, persistent
  *     autotune-database hit);
  *  3. an llm::Engine tune pass (every linear of a served model plus the
  *     LM head), cold vs warm across simulated process restarts.
@@ -177,6 +177,13 @@ main(int argc, char **argv)
     const std::vector<int64_t> prefill_chunks = {256};
     double engine_cold_ms, engine_warm_ms;
     int engine_cold_compiles, engine_warm_compiles;
+    // Tid tables the cold pass's decodes request, and how many distinct
+    // ones its runtime's memo builds (src/sim/microop.h).
+    const obs::Registry &registry = obs::Registry::instance();
+    const int64_t tables_before =
+        registry.counterValue("sim_tid_tables_total");
+    const int64_t built_before =
+        registry.counterValue("sim_tid_tables_built_total");
     {
         runtime::Runtime rt(spec);
         llm::ServingEngine engine(rt, model, eopts);
@@ -185,6 +192,10 @@ main(int argc, char **argv)
         engine_cold_ms = nowMs() - start;
         engine_cold_compiles = rt.compileCount();
     }
+    const int64_t engine_tid_tables =
+        registry.counterValue("sim_tid_tables_total") - tables_before;
+    const int64_t engine_tid_tables_built =
+        registry.counterValue("sim_tid_tables_built_total") - built_before;
     {
         runtime::Runtime rt(spec);
         llm::ServingEngine engine(rt, model, eopts);
@@ -197,8 +208,11 @@ main(int argc, char **argv)
     std::printf("\nllm::Engine tune pass (%s, u4, decode 16 + prefill "
                 "256):\n",
                 model.name.c_str());
-    std::printf("  cold: %10.1f ms  (%d kernels compiled)\n",
-                engine_cold_ms, engine_cold_compiles);
+    std::printf("  cold: %10.1f ms  (%d kernels compiled, %lld tid "
+                "tables requested, %lld built)\n",
+                engine_cold_ms, engine_cold_compiles,
+                static_cast<long long>(engine_tid_tables),
+                static_cast<long long>(engine_tid_tables_built));
     std::printf("  warm: %10.1f ms  (%d kernels compiled) -> %s\n",
                 engine_warm_ms, engine_warm_compiles,
                 fmtSpeedup(engine_speedup).c_str());
@@ -234,6 +248,8 @@ main(int argc, char **argv)
          << ",\"warm_ms\":" << engine_warm_ms
          << ",\"cold_compiles\":" << engine_cold_compiles
          << ",\"warm_compiles\":" << engine_warm_compiles
+         << ",\"tid_tables\":" << engine_tid_tables
+         << ",\"tid_tables_built\":" << engine_tid_tables_built
          << ",\"speedup\":" << engine_speedup << "}"
          << ",\"kernel_artifacts_stored\":" << kstats.stores
          << ",\"tune_records_stored\":" << tstats.stores << "}\n";
@@ -258,7 +274,6 @@ main(int argc, char **argv)
     // skips enumeration and compilation entirely). The line prints on
     // success too, with the registry's warm/cold split as evidence.
     const double gate = 5.0;
-    const obs::Registry &registry = obs::Registry::instance();
     std::printf("gate %s: warm/cold engine tune speedup = %.1fx "
                 "(threshold %.0fx, margin %.1fx; registry: %lld warm / "
                 "%lld cold sweeps, %lld compiles)\n",

@@ -104,9 +104,12 @@ cache::Fingerprint tuneKey(const SweepRequest &req,
  *
  * On a database hit the stored winner is returned immediately —
  * enumeration, compilation, and probe tracing are all skipped. On a
- * miss the sweep enumerates candidates, compiles them ahead of time on
- * the compile pool (cache/compile_pool.h) so the serial estimation loop
- * only ever hits the runtime's in-memory tier, then records the winner.
+ * miss the sweep enumerates candidates and prices them on the compile
+ * pool (cache/compile_pool.h): each task runs estimateConfig for one
+ * candidate (compile, decode, probe, timing model) and writes its slot.
+ * Only the reduction — in enumeration order, the first of tied
+ * candidates wins — and the record store stay serial, so the result is
+ * the same at every pool width.
  * When no candidate is valid, the result has candidates_tried == 0 and
  * infinite latency (callers decide whether that is fatal).
  *

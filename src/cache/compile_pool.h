@@ -1,14 +1,14 @@
 /**
  * @file
- * The compile-ahead executor used by cold autotune sweeps.
+ * The compile pool: the executor that prices cold autotune sweeps.
  *
- * A cold tuning pass compiles a few hundred candidate kernels; the
- * compilations are independent, so the tuner fans them out over a small
- * thread pool before its (serial) estimation loop — every later
- * getOrCompile then hits the runtime's in-memory tier. The compile path
+ * A cold tuning pass compiles, decodes, probes and prices a few hundred
+ * candidate kernels; the candidates are independent, so the tuner fans
+ * them out over a small thread pool and only reduces serially. The path
  * is thread-safe by construction: IR nodes are immutable shared trees,
- * the process-global id counters are atomic, and runtime::Runtime
- * serializes its cache map behind a mutex.
+ * the process-global id counters are atomic, ghost probes touch no
+ * device memory, and runtime::Runtime serializes its cache map (and its
+ * tid-table memo) behind mutexes.
  *
  * TILUS_COMPILE_THREADS pins the worker count (1 runs inline — the
  * escape hatch when debugging); the default is min(hardware threads, 8).
@@ -21,7 +21,7 @@
 namespace tilus {
 namespace cache {
 
-/** Worker count for compile-ahead: TILUS_COMPILE_THREADS or
+/** Worker count of the compile pool: TILUS_COMPILE_THREADS or
     min(hardware_concurrency, 8), never less than 1. */
 int compileThreads();
 

@@ -45,7 +45,8 @@ fillDevice(sim::Device &device, int64_t bytes, uint64_t seed)
 sim::SimStats
 runSeeded(const lir::Kernel &kernel, const OracleConfig &config,
           sim::Device &device, sim::Engine engine,
-          obs::ProfileCollector *profile)
+          obs::ProfileCollector *profile,
+          const sim::MicroProgram *micro_program)
 {
     // Partition DRAM into equal arenas per pointer parameter; the final
     // share is left unclaimed so the interpreter's workspace allocation
@@ -82,6 +83,7 @@ runSeeded(const lir::Kernel &kernel, const OracleConfig &config,
     options.enable_print = false;
     options.engine = engine;
     options.profile = profile;
+    options.micro_program = micro_program;
     return sim::run(kernel, env, &device, options);
 }
 

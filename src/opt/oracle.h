@@ -134,12 +134,15 @@ OracleReport diffEngines(const lir::Kernel &kernel,
  * One functional run on a freshly seeded device under a chosen engine
  * (the building block of both diff flavours; bench_interp times it).
  * When @p profile is non-null the run attributes counter deltas to LIR
- * instructions (conservation tests and the profiling A/B bench).
+ * instructions (conservation tests and the profiling A/B bench). A
+ * micro-op run executes @p micro_program when given (decoded from
+ * @p kernel) and decodes on the fly otherwise.
  */
 sim::SimStats runSeeded(const lir::Kernel &kernel,
                         const OracleConfig &config, sim::Device &device,
                         sim::Engine engine = sim::Engine::kMicroOps,
-                        obs::ProfileCollector *profile = nullptr);
+                        obs::ProfileCollector *profile = nullptr,
+                        const sim::MicroProgram *micro_program = nullptr);
 
 /**
  * Byte-compare two devices; on mismatch writes the first differing

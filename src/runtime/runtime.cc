@@ -125,7 +125,7 @@ Runtime::getOrCompile(const ir::Program &program,
         span.arg("program", program.name).arg("fingerprint", fp.hex());
 
     // Materialize outside the lock: compilation (and disk I/O) is the
-    // expensive part, and the compile-ahead pool runs many of these
+    // expensive part, and the compile pool runs many of these
     // concurrently. A lost race on insertion just discards a duplicate.
     CachedKernel entry;
     bool from_disk = false;
@@ -179,8 +179,8 @@ Runtime::cachedProgram(const lir::Kernel &kernel) const
         if (entry->program)
             return entry->program.get();
     }
-    // Decode outside the lock so the compile-ahead pool decodes probes
-    // in parallel; entries are address-stable and their kernels
+    // Decode outside the lock so the compile pool decodes probes in
+    // parallel; entries are address-stable and their kernels
     // immutable. A racing decode of the same kernel is discarded, and
     // only the installed one is counted.
     std::unique_ptr<sim::MicroProgram> program;
@@ -188,7 +188,7 @@ Runtime::cachedProgram(const lir::Kernel &kernel) const
         obs::Span span("sim", "microop-decode");
         span.arg("kernel", kernel.name);
         program = std::make_unique<sim::MicroProgram>(
-            sim::compileMicroProgram(kernel));
+            sim::compileMicroProgram(kernel, &tid_tables_));
     }
     std::lock_guard<std::mutex> lock(mutex_);
     if (!entry->program) {

@@ -89,7 +89,7 @@ class Runtime
      * cached kernel pays it once.
      *
      * Thread-safe: cold autotune sweeps call this concurrently from the
-     * compile-ahead pool (cache/compile_pool.h). Racing compilations of
+     * compile pool (cache/compile_pool.h). Racing compilations of
      * the same fingerprint are deduplicated at insertion.
      */
     const lir::Kernel &getOrCompile(const ir::Program &program,
@@ -114,8 +114,9 @@ class Runtime
      * Thread-safe: decode runs outside the runtime lock, and the first
      * program installed for a kernel is the one every caller gets (a
      * racing duplicate is discarded; sim_microop_decodes_total counts
-     * installs only). Cold autotune sweeps pre-decode their probe
-     * kernels this way on the compile-ahead pool.
+     * installs only). Cold autotune sweeps decode their probe kernels
+     * this way on the compile pool. Every decode shares this runtime's
+     * tid-table memo (sim::TidTableMemo).
      */
     const sim::MicroProgram *cachedProgram(const lir::Kernel &kernel) const;
 
@@ -162,6 +163,8 @@ class Runtime
     /// are stable, so entries_ may point into the map.
     mutable std::map<cache::Fingerprint, CachedKernel> cache_;
     mutable std::map<const lir::Kernel *, CachedKernel *> entries_;
+    /// Tid tables shared by every decode of this runtime's kernels.
+    mutable sim::TidTableMemo tid_tables_;
     cache::KernelCache *disk_cache_ = &cache::KernelCache::instance();
     int compile_count_ = 0;
     int disk_load_count_ = 0;

@@ -12,6 +12,7 @@
 #include "dtype/packing.h"
 #include "ir/instruction.h"
 #include "layout/atoms.h"
+#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "sim/exec_common.h"
 #include "support/error.h"
@@ -78,7 +79,157 @@ struct DecodeFailure
     std::string reason;
 };
 
+/**
+ * Run a flat postorder slot program: the one operator switch behind
+ * both MicroExecutor::evalProgram and the tid-table builder. @p stack
+ * must hold the program's depth; @p slot(i) supplies regs[i].
+ */
+template <typename SlotFn>
+inline int64_t
+runSlotProgram(const ExprProgram &prog, int64_t tid, int64_t *stack,
+               const SlotFn &slot)
+{
+    int sp = 0;
+    const SlotInstr *code = prog.code.data();
+    const int n = static_cast<int>(prog.code.size());
+    for (int pc = 0; pc < n; ++pc) {
+        const SlotInstr &ins = code[pc];
+        switch (ins.kind) {
+          case SlotInstr::kConst:
+            stack[sp++] = ins.imm;
+            break;
+          case SlotInstr::kSlot:
+            stack[sp++] = slot(ins.slot);
+            break;
+          case SlotInstr::kTid:
+            stack[sp++] = tid;
+            break;
+          case SlotInstr::kUnary: {
+            int64_t &a = stack[sp - 1];
+            switch (static_cast<ir::UnaryOp>(ins.op)) {
+              case ir::UnaryOp::kNeg: a = -a; break;
+              case ir::UnaryOp::kBitNot: a = ~a; break;
+              case ir::UnaryOp::kNot: a = (a == 0); break;
+            }
+            break;
+          }
+          case SlotInstr::kBinary: {
+            int64_t b = stack[--sp];
+            int64_t &a = stack[sp - 1];
+            switch (static_cast<ir::BinaryOp>(ins.op)) {
+              case ir::BinaryOp::kAdd: a = a + b; break;
+              case ir::BinaryOp::kSub: a = a - b; break;
+              case ir::BinaryOp::kMul: a = a * b; break;
+              case ir::BinaryOp::kDiv:
+                TILUS_CHECK_MSG(b != 0, "division by zero");
+                a = a / b;
+                break;
+              case ir::BinaryOp::kMod:
+                TILUS_CHECK_MSG(b != 0, "modulo by zero");
+                a = a % b;
+                break;
+              case ir::BinaryOp::kMin: a = std::min(a, b); break;
+              case ir::BinaryOp::kMax: a = std::max(a, b); break;
+              case ir::BinaryOp::kBitAnd: a = a & b; break;
+              case ir::BinaryOp::kBitOr: a = a | b; break;
+              case ir::BinaryOp::kBitXor: a = a ^ b; break;
+              case ir::BinaryOp::kShl: a = a << b; break;
+              case ir::BinaryOp::kShr: a = a >> b; break;
+              case ir::BinaryOp::kAnd: a = (a != 0 && b != 0); break;
+              case ir::BinaryOp::kOr: a = (a != 0 || b != 0); break;
+              case ir::BinaryOp::kEq: a = (a == b); break;
+              case ir::BinaryOp::kNe: a = (a != b); break;
+              case ir::BinaryOp::kLt: a = (a < b); break;
+              case ir::BinaryOp::kLe: a = (a <= b); break;
+              case ir::BinaryOp::kGt: a = (a > b); break;
+              case ir::BinaryOp::kGe: a = (a >= b); break;
+            }
+            break;
+          }
+          case SlotInstr::kBrZ:
+            if (stack[--sp] == 0)
+                pc += ins.slot;
+            break;
+          case SlotInstr::kJmpRel:
+            pc += ins.slot;
+            break;
+        }
+    }
+    return stack[sp - 1];
+}
+
+/** LOp nodes anywhere in @p body (the decoder's leaf reservation). */
+size_t
+countLeafOps(const LBody &body)
+{
+    size_t n = 0;
+    for (const LNode &node : body) {
+        if (std::holds_alternative<LOp>(node.node)) {
+            ++n;
+        } else if (auto *f = std::get_if<LFor>(&node.node)) {
+            n += countLeafOps(*f->body);
+        } else if (auto *w = std::get_if<LWhile>(&node.node)) {
+            n += countLeafOps(*w->body);
+        } else if (auto *i = std::get_if<LIf>(&node.node)) {
+            n += countLeafOps(*i->then_body);
+            if (i->else_body)
+                n += countLeafOps(*i->else_body);
+        }
+    }
+    return n;
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------
+// Tid-table memo
+// ---------------------------------------------------------------------
+
+TidTableMemo::Table
+TidTableMemo::get(int block_threads, const ExprProgram &tid_part)
+{
+    static obs::Counter &requested =
+        obs::Registry::instance().counter("sim_tid_tables_total");
+    static obs::Counter &built =
+        obs::Registry::instance().counter("sim_tid_tables_built_total");
+    requested.add();
+
+    // Key: the thread count, then each instruction's fields packed.
+    std::string key;
+    key.reserve(sizeof(int32_t) + tid_part.code.size() * sizeof(SlotInstr));
+    auto put = [&key](const auto &field) {
+        key.append(reinterpret_cast<const char *>(&field), sizeof(field));
+    };
+    put(static_cast<int32_t>(block_threads));
+    for (const SlotInstr &ins : tid_part.code) {
+        put(ins.kind);
+        put(ins.op);
+        put(ins.slot);
+        put(ins.imm);
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = tables_.find(key);
+        if (it != tables_.end())
+            return it->second;
+    }
+
+    // Build outside the lock; a racing duplicate is discarded below.
+    auto table = std::make_shared<std::vector<int64_t>>(
+        static_cast<size_t>(block_threads));
+    std::vector<int64_t> stack(tid_part.code.size());
+    auto no_slots = [](int32_t) -> int64_t {
+        TILUS_PANIC("tid table program reads a variable slot");
+    };
+    for (int t = 0; t < block_threads; ++t)
+        (*table)[t] = runSlotProgram(tid_part, t, stack.data(), no_slots);
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, inserted] = tables_.emplace(std::move(key), std::move(table));
+    if (inserted)
+        built.add();
+    return it->second;
+}
 
 // ---------------------------------------------------------------------
 // Decoder
@@ -88,12 +239,15 @@ struct DecodeFailure
 class MicroDecoder
 {
   public:
-    explicit MicroDecoder(const lir::Kernel &kernel) : kernel_(kernel) {}
+    MicroDecoder(const lir::Kernel &kernel, TidTableMemo &tid_tables)
+        : kernel_(kernel), tid_tables_(tid_tables)
+    {}
 
     MicroProgram
     run()
     {
         program_.kernel_ = &kernel_;
+        program_.leaves_.reserve(countLeafOps(kernel_.body));
         try {
             decodeTensors();
             flattenBody(kernel_.body);
@@ -268,14 +422,9 @@ class MicroDecoder
             if (parts.base)
                 ref.base = compileProgram(parts.base,
                                           /*allow_tid=*/false);
-            auto table = std::make_shared<std::vector<int64_t>>();
-            table->resize(static_cast<size_t>(kernel_.block_threads));
-            ir::Env tid_env;
-            for (int t = 0; t < kernel_.block_threads; ++t) {
-                tid_env.bind(tidVar().id(), t);
-                (*table)[t] = ir::evalInt(parts.tid_part, tid_env);
-            }
-            ref.table = std::move(table);
+            ExprProgram tid_part;
+            emitExpr(parts.tid_part, /*allow_tid=*/true, tid_part);
+            ref.table = tid_tables_.get(kernel_.block_threads, tid_part);
             program_.num_tabulated_ += 1;
             return ref;
           }
@@ -529,13 +678,16 @@ class MicroDecoder
 
     /// @name Leaf-op decoding (one case per LOp alternative).
     /// @{
-    void
-    pushLeaf(DecodedLeaf leaf)
+    /** A new leaf, filled in place by the caller, and its micro-op. */
+    DecodedLeaf &
+    pushLeaf(const LOp &op)
     {
-        program_.leaves_.push_back(std::move(leaf));
+        DecodedLeaf &leaf = program_.leaves_.emplace_back();
+        leaf.op = &op;
         emit(MicroOp{MicroOp::kLeaf,
                      static_cast<int32_t>(program_.leaves_.size() - 1), 0,
                      0});
+        return leaf;
     }
 
     void
@@ -596,8 +748,13 @@ class MicroDecoder
     void
     decodeLeaf(const LOp &op)
     {
-        DecodedLeaf leaf;
-        leaf.op = &op;
+        if (std::holds_alternative<ExitOp>(op)) {
+            // Lowered as a jump to the halt op, not a leaf.
+            end_fixups_.push_back(pc());
+            emit(MicroOp{MicroOp::kJump, 0, 0, 0});
+            return;
+        }
+        DecodedLeaf &leaf = pushLeaf(op);
         std::visit(
             [&](const auto &o) {
                 using T = std::decay_t<decltype(o)>;
@@ -693,15 +850,9 @@ class MicroDecoder
                 } else if constexpr (std::is_same_v<T, PrintTensor>) {
                     leaf.kind = DecodedLeaf::kPrintTensor;
                     leaf.t_a = tensorIndex(o.tensor);
-                } else if constexpr (std::is_same_v<T, ExitOp>) {
-                    // Lowered as a jump to the halt op, not a leaf.
-                    end_fixups_.push_back(pc());
-                    emit(MicroOp{MicroOp::kJump, 0, 0, 0});
-                    return;
                 } else {
                     fail("leaf op without a decoder case");
                 }
-                pushLeaf(std::move(leaf));
             },
             op);
     }
@@ -714,6 +865,7 @@ class MicroDecoder
     };
 
     const lir::Kernel &kernel_;
+    TidTableMemo &tid_tables_;
     MicroProgram program_;
     std::unordered_map<int, int32_t> slot_of_var_;
     int32_t next_slot_ = 0;
@@ -722,9 +874,12 @@ class MicroDecoder
 };
 
 MicroProgram
-compileMicroProgram(const lir::Kernel &kernel)
+compileMicroProgram(const lir::Kernel &kernel, TidTableMemo *memo)
 {
-    return MicroDecoder(kernel).run();
+    if (memo)
+        return MicroDecoder(kernel, *memo).run();
+    TidTableMemo local;
+    return MicroDecoder(kernel, local).run();
 }
 
 // ---------------------------------------------------------------------
@@ -849,78 +1004,12 @@ class MicroExecutor
     int64_t
     evalProgram(const ExprProgram &prog, int64_t tid) const
     {
-        int64_t *stack = stack_.data();
-        int sp = 0;
-        const SlotInstr *code = prog.code.data();
-        const int n = static_cast<int>(prog.code.size());
-        for (int pc = 0; pc < n; ++pc) {
-            const SlotInstr &ins = code[pc];
-            switch (ins.kind) {
-              case SlotInstr::kConst:
-                stack[sp++] = ins.imm;
-                break;
-              case SlotInstr::kSlot:
-                TILUS_CHECK_MSG(isBound(ins.slot),
-                                "unbound variable '"
-                                    << program_.slotNames()[ins.slot]
-                                    << "'");
-                stack[sp++] = regs_[ins.slot];
-                break;
-              case SlotInstr::kTid:
-                stack[sp++] = tid;
-                break;
-              case SlotInstr::kUnary: {
-                int64_t &a = stack[sp - 1];
-                switch (static_cast<ir::UnaryOp>(ins.op)) {
-                  case ir::UnaryOp::kNeg: a = -a; break;
-                  case ir::UnaryOp::kBitNot: a = ~a; break;
-                  case ir::UnaryOp::kNot: a = (a == 0); break;
-                }
-                break;
-              }
-              case SlotInstr::kBinary: {
-                int64_t b = stack[--sp];
-                int64_t &a = stack[sp - 1];
-                switch (static_cast<ir::BinaryOp>(ins.op)) {
-                  case ir::BinaryOp::kAdd: a = a + b; break;
-                  case ir::BinaryOp::kSub: a = a - b; break;
-                  case ir::BinaryOp::kMul: a = a * b; break;
-                  case ir::BinaryOp::kDiv:
-                    TILUS_CHECK_MSG(b != 0, "division by zero");
-                    a = a / b;
-                    break;
-                  case ir::BinaryOp::kMod:
-                    TILUS_CHECK_MSG(b != 0, "modulo by zero");
-                    a = a % b;
-                    break;
-                  case ir::BinaryOp::kMin: a = std::min(a, b); break;
-                  case ir::BinaryOp::kMax: a = std::max(a, b); break;
-                  case ir::BinaryOp::kBitAnd: a = a & b; break;
-                  case ir::BinaryOp::kBitOr: a = a | b; break;
-                  case ir::BinaryOp::kBitXor: a = a ^ b; break;
-                  case ir::BinaryOp::kShl: a = a << b; break;
-                  case ir::BinaryOp::kShr: a = a >> b; break;
-                  case ir::BinaryOp::kAnd: a = (a != 0 && b != 0); break;
-                  case ir::BinaryOp::kOr: a = (a != 0 || b != 0); break;
-                  case ir::BinaryOp::kEq: a = (a == b); break;
-                  case ir::BinaryOp::kNe: a = (a != b); break;
-                  case ir::BinaryOp::kLt: a = (a < b); break;
-                  case ir::BinaryOp::kLe: a = (a <= b); break;
-                  case ir::BinaryOp::kGt: a = (a > b); break;
-                  case ir::BinaryOp::kGe: a = (a >= b); break;
-                }
-                break;
-              }
-              case SlotInstr::kBrZ:
-                if (stack[--sp] == 0)
-                    pc += ins.slot;
-                break;
-              case SlotInstr::kJmpRel:
-                pc += ins.slot;
-                break;
-            }
-        }
-        return stack[sp - 1];
+        return runSlotProgram(prog, tid, stack_.data(), [this](int32_t s) {
+            TILUS_CHECK_MSG(isBound(s), "unbound variable '"
+                                            << program_.slotNames()[s]
+                                            << "'");
+            return regs_[s];
+        });
     }
 
     int64_t

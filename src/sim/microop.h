@@ -36,7 +36,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/expr.h"
@@ -288,11 +290,41 @@ class MicroProgram
 };
 
 /**
+ * Per-thread tables of `kTabulated` expressions, shared across decodes.
+ * A table is keyed by the block's thread count plus the flat slot
+ * program of its pure-tid part, and built by running that program once
+ * per thread. Matmul kernels of one tuning space repeat the same
+ * swizzled address parts many times over, so most requests hit.
+ *
+ * runtime::Runtime owns one memo for the kernels it decodes; it is not
+ * process-wide, so a fresh Runtime (a simulated restart) builds its
+ * tables anew. Thread-safe: a table is built outside the lock and the
+ * first one installed for a key is the one every caller gets
+ * (sim_tid_tables_built_total counts installs only; sim_tid_tables_total
+ * counts every request).
+ */
+class TidTableMemo
+{
+  public:
+    using Table = std::shared_ptr<const std::vector<int64_t>>;
+
+    /** The table of @p tid_part (a program reading only the thread
+        index and constants) over threads 0..block_threads-1. */
+    Table get(int block_threads, const ExprProgram &tid_part);
+
+  private:
+    std::mutex mutex_;
+    std::unordered_map<std::string, Table> tables_;
+};
+
+/**
  * Decode @p kernel into a flat micro-op program. Never throws for
  * undecodable kernels: the returned program carries a fallback reason,
- * and `sim::run` throws when asked to execute it.
+ * and `sim::run` throws when asked to execute it. Tid tables come from
+ * @p memo when given, and from a memo private to this call otherwise.
  */
-MicroProgram compileMicroProgram(const lir::Kernel &kernel);
+MicroProgram compileMicroProgram(const lir::Kernel &kernel,
+                                 TidTableMemo *memo = nullptr);
 
 /**
  * Execute one thread block of a decoded program (program.ok() must

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -777,6 +778,97 @@ TEST(ConcurrentTuners, ThreadSafeAndDeterministic)
         EXPECT_EQ(parallel[i], serial[i]) << "m=" << problems[i];
     EXPECT_EQ(shared_db.stats().stores,
               static_cast<int64_t>(problems.size()));
+}
+
+/** Every field of @p l by bit pattern (doubles compared bitwise). */
+std::vector<uint64_t>
+latencyBits(const sim::LatencyBreakdown &l)
+{
+    std::vector<uint64_t> out;
+    for (double v : {l.total_us, l.dram_us, l.l2_us, l.tc_us, l.simt_us,
+                     l.alu_us, l.smem_us, l.serial_us, l.launch_us,
+                     l.occupancy_blocks_per_sm}) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        out.push_back(bits);
+    }
+    out.push_back(l.pipelined);
+    out.push_back(static_cast<uint64_t>(l.blocks));
+    return out;
+}
+
+TEST(ConcurrentTuners, PoolWidthInvariant)
+{
+    // A cold sweep prices its candidates on the compile pool. On fresh
+    // state, one worker and four must store the same record (winner and
+    // every candidate's breakdown, in enumeration order) and move the
+    // compile, decode and probe counters by the same amounts.
+    TempDir dir;
+    autotune::SweepRequest req = smallSweep(12); // TC and SIMT families
+    req.space.stages = {2, 3, 4};
+    const char *const counters[] = {"compiler_compiles_total",
+                                    "sim_microop_decodes_total",
+                                    "sim_runs_total"};
+    const char *env = std::getenv("TILUS_COMPILE_THREADS");
+    const std::string saved = env ? env : "";
+
+    struct Outcome
+    {
+        autotune::TuneResult result;
+        std::string record_bytes;
+        std::vector<int64_t> deltas;
+    };
+    auto sweepAt = [&](int width) {
+        setenv("TILUS_COMPILE_THREADS", std::to_string(width).c_str(), 1);
+        EXPECT_EQ(cache::compileThreads(), width);
+        cache::TuneDb db(dir.path + "/w" + std::to_string(width));
+        runtime::Runtime rt(sim::l40s());
+        rt.setDiskCache(nullptr);
+        const obs::Registry &registry = obs::Registry::instance();
+        std::vector<int64_t> before;
+        for (const char *name : counters)
+            before.push_back(registry.counterValue(name));
+        Outcome out;
+        out.result = autotune::sweepCached(rt, req, &db);
+        for (size_t i = 0; i < before.size(); ++i)
+            out.deltas.push_back(registry.counterValue(counters[i]) -
+                                 before[i]);
+        std::ifstream in(db.entryPath(autotune::tuneKey(req, rt.spec())),
+                         std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        out.record_bytes = bytes.str();
+        return out;
+    };
+    const Outcome serial = sweepAt(1);
+    const Outcome pooled = sweepAt(4);
+    if (env)
+        setenv("TILUS_COMPILE_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("TILUS_COMPILE_THREADS");
+
+    ASSERT_GT(serial.result.candidates_tried, 4);
+    EXPECT_EQ(pooled.result.config.name(), serial.result.config.name());
+    EXPECT_EQ(pooled.result.candidates_tried,
+              serial.result.candidates_tried);
+    EXPECT_EQ(latencyBits(pooled.result.latency),
+              latencyBits(serial.result.latency));
+    ASSERT_EQ(pooled.result.candidates.size(),
+              serial.result.candidates.size());
+    for (size_t i = 0; i < serial.result.candidates.size(); ++i) {
+        EXPECT_EQ(pooled.result.candidates[i].config.name(),
+                  serial.result.candidates[i].config.name())
+            << i;
+        EXPECT_EQ(latencyBits(pooled.result.candidates[i].latency),
+                  latencyBits(serial.result.candidates[i].latency))
+            << serial.result.candidates[i].config.name();
+    }
+    EXPECT_FALSE(serial.record_bytes.empty());
+    EXPECT_EQ(pooled.record_bytes, serial.record_bytes);
+    for (size_t i = 0; i < serial.deltas.size(); ++i) {
+        EXPECT_GT(serial.deltas[i], 0) << counters[i];
+        EXPECT_EQ(pooled.deltas[i], serial.deltas[i]) << counters[i];
+    }
 }
 
 } // namespace

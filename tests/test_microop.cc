@@ -11,12 +11,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <set>
 
 #include "autotune/tuner.h"
 #include "cache/compile_pool.h"
 #include "compiler/compiler.h"
 #include "dtype/packing.h"
+#include "fuzz/fuzz.h"
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
 #include "lang/script.h"
@@ -471,6 +474,338 @@ TEST(MicroOpRuntime, ColdSweepDecodesEachProbeKernelOnce)
               static_cast<int>(probes.size() + full.size()));
     EXPECT_EQ(decodes.value() - before,
               static_cast<int64_t>(probes.size()));
+}
+
+/** A kernel to decode plus the oracle bindings that run it. */
+struct TidTableCase
+{
+    std::string name;
+    lir::Kernel kernel;
+    opt::OracleConfig oracle;
+};
+
+/**
+ * The suite kernels at O0 and O2, the probe kernels of one
+ * default-TuneSpace sweep (both template families; compiled on the
+ * pool), and the checked-in fuzz corpus.
+ */
+std::vector<TidTableCase>
+tidTableCases()
+{
+    struct Source
+    {
+        std::string name;
+        ir::Program program;
+        compiler::CompileOptions options;
+        opt::OracleConfig oracle;
+    };
+    std::vector<Source> sources;
+    // One block per run: every block reads the same tid tables.
+    opt::OracleConfig suite_oracle;
+    suite_oracle.device_bytes = 1 << 20;
+    suite_oracle.max_blocks = 1;
+    suite_oracle.scalars = {{"m", 16}, {"n", 512}};
+    std::vector<std::pair<std::string, ir::Program>> suite;
+    for (int stages : {1, 2}) {
+        auto cfg = baseConfig(tilus::uint4());
+        cfg.stages = stages;
+        suite.emplace_back(cfg.name(),
+                           kernels::buildMatmul(cfg).main_program);
+    }
+    {
+        auto cfg = baseConfig(tilus::float16());
+        cfg.stages = 1;
+        suite.emplace_back(cfg.name(),
+                           kernels::buildMatmul(cfg).main_program);
+        cfg = baseConfig(tilus::uint4());
+        cfg.stages = 1;
+        cfg.group_size = 64;
+        suite.emplace_back("grouped",
+                           kernels::buildMatmul(cfg).main_program);
+        cfg.group_size = 0;
+        cfg.transform_weights = false;
+        suite.emplace_back("untransformed",
+                           kernels::buildMatmul(cfg).main_program);
+        cfg.transform_weights = true;
+        cfg.convert_via_smem = true;
+        suite.emplace_back("via-smem",
+                           kernels::buildMatmul(cfg).main_program);
+        cfg = baseConfig(tilus::uint4());
+        cfg.stages = 2;
+        suite.emplace_back("transform",
+                           *kernels::buildMatmul(cfg).transform_program);
+    }
+    suite.emplace_back("vector-add", kernels::buildVectorAdd(2, 4).program);
+    suite.emplace_back("axpy", kernels::buildAxpy(1, 2).program);
+    for (compiler::OptLevel level :
+         {compiler::OptLevel::O0, compiler::OptLevel::O2}) {
+        compiler::CompileOptions options;
+        options.opt_level = level;
+        for (const auto &[name, program] : suite)
+            sources.push_back({name, program, options, suite_oracle});
+    }
+
+    autotune::SweepRequest req;
+    req.n = 256;
+    req.k = 256;
+    req.m = 12;
+    req.group_size = 64;
+    opt::OracleConfig probe_oracle = suite_oracle;
+    probe_oracle.scalars = {{"m", req.m}};
+    for (kernels::MatmulConfig cfg : autotune::enumerateConfigs(
+             req.wdtype, req.n, req.k, req.m, req.space)) {
+        cfg.group_size = req.group_size;
+        for (int outers = 1; outers <= 2; ++outers) {
+            const kernels::MatmulConfig probe =
+                autotune::probeConfig(cfg, outers);
+            sources.push_back({probe.name(),
+                               kernels::buildMatmul(probe).main_program,
+                               req.opts, probe_oracle});
+        }
+    }
+
+    std::vector<TidTableCase> cases(sources.size());
+    cache::parallelFor(
+        static_cast<int64_t>(sources.size()),
+        [&](int64_t i) {
+            const Source &src = sources[i];
+            cases[i] = {src.name,
+                        compiler::compile(src.program, src.options),
+                        src.oracle};
+        },
+        /*threads=*/4);
+
+    opt::OracleConfig corpus_oracle;
+    corpus_oracle.device_bytes = 1 << 20;
+    const std::filesystem::path corpus =
+        std::filesystem::path(__FILE__).parent_path() / "corpus";
+    for (const auto &entry : std::filesystem::directory_iterator(corpus))
+        if (entry.path().extension() == ".lirk")
+            cases.push_back({entry.path().filename().string(),
+                             fuzz::readCorpusKernel(entry.path().string()),
+                             corpus_oracle});
+    return cases;
+}
+
+/** Postorder spelling of a pure-tid expression: equal spellings are
+    exactly equal slot programs (constants by ivalue, as decode emits). */
+std::string
+tidPartKey(const ir::Expr &expr)
+{
+    switch (expr->kind()) {
+      case ir::ExprKind::kConst:
+        return "c" + std::to_string(
+                         static_cast<const ir::ConstNode &>(*expr).ivalue);
+      case ir::ExprKind::kVar:
+        return "t";
+      case ir::ExprKind::kUnary: {
+        const auto &node = static_cast<const ir::UnaryNode &>(*expr);
+        return "u" + std::to_string(static_cast<int>(node.op)) + "(" +
+               tidPartKey(node.a) + ")";
+      }
+      case ir::ExprKind::kBinary: {
+        const auto &node = static_cast<const ir::BinaryNode &>(*expr);
+        return "b" + std::to_string(static_cast<int>(node.op)) + "(" +
+               tidPartKey(node.a) + "," + tidPartKey(node.b) + ")";
+      }
+      case ir::ExprKind::kSelect: {
+        const auto &node = static_cast<const ir::SelectNode &>(*expr);
+        return "s(" + tidPartKey(node.cond) + "," +
+               tidPartKey(node.on_true) + "," + tidPartKey(node.on_false) +
+               ")";
+      }
+    }
+    return "?";
+}
+
+/** The && operands of a comparison conjunction, left to right. */
+void
+flattenAnd(const ir::Expr &expr, std::vector<ir::Expr> &out)
+{
+    if (expr->kind() == ir::ExprKind::kBinary) {
+        const auto &node = static_cast<const ir::BinaryNode &>(*expr);
+        if (node.op == ir::BinaryOp::kAnd) {
+            flattenAnd(node.a, out);
+            flattenAnd(node.b, out);
+            return;
+        }
+    }
+    out.push_back(expr);
+}
+
+/** Every (decoded expression, source expression) pair of one leaf. */
+std::vector<std::pair<const sim::ExprRef *, ir::Expr>>
+leafExprs(const sim::DecodedLeaf &leaf)
+{
+    std::vector<std::pair<const sim::ExprRef *, ir::Expr>> out;
+    auto pred = [&](const sim::PredRef &ref, const ir::Expr &expr) {
+        if (!expr)
+            return;
+        if (ref.conj.empty()) {
+            out.emplace_back(&ref.whole, expr);
+            return;
+        }
+        std::vector<ir::Expr> conjuncts;
+        flattenAnd(expr, conjuncts);
+        ASSERT_EQ(conjuncts.size(), ref.conj.size());
+        for (size_t i = 0; i < conjuncts.size(); ++i) {
+            const auto &cmp =
+                static_cast<const ir::BinaryNode &>(*conjuncts[i]);
+            out.emplace_back(&ref.conj[i].lhs, cmp.a);
+            out.emplace_back(&ref.conj[i].rhs, cmp.b);
+        }
+    };
+    std::visit(
+        [&](const auto &o) {
+            using T = std::decay_t<decltype(o)>;
+            if constexpr (std::is_same_v<T, lir::LoadGlobalVec> ||
+                          std::is_same_v<T, lir::StoreGlobalVec> ||
+                          std::is_same_v<T, lir::StoreSharedVec>) {
+                out.emplace_back(&leaf.addr, o.addr);
+                pred(leaf.pred, o.pred);
+            } else if constexpr (std::is_same_v<T, lir::LoadGlobalBits> ||
+                                 std::is_same_v<T, lir::StoreGlobalBits>) {
+                out.emplace_back(&leaf.addr, o.bit_addr);
+            } else if constexpr (std::is_same_v<T, lir::LoadSharedVec>) {
+                out.emplace_back(&leaf.addr, o.addr);
+            } else if constexpr (std::is_same_v<T, lir::CpAsync>) {
+                out.emplace_back(&leaf.addr, o.smem_addr);
+                out.emplace_back(&leaf.addr2, o.gmem_addr);
+                pred(leaf.pred, o.pred);
+                pred(leaf.pred2, o.issue_pred);
+            } else if constexpr (std::is_same_v<T, lir::EltwiseScalar>) {
+                if (!leaf.scalar_is_const)
+                    out.emplace_back(&leaf.scalar, o.scalar);
+            }
+        },
+        *leaf.op);
+    return out;
+}
+
+/** kTabulated references anywhere in one leaf. */
+int
+countTabulated(const sim::DecodedLeaf &leaf)
+{
+    auto one = [](const sim::ExprRef &ref) {
+        return ref.cls == sim::ExprClass::kTabulated ? 1 : 0;
+    };
+    auto pred = [&](const sim::PredRef &ref) {
+        int n = one(ref.whole);
+        for (const sim::PredRef::Cmp &cmp : ref.conj)
+            n += one(cmp.lhs) + one(cmp.rhs);
+        return n;
+    };
+    return one(leaf.addr) + one(leaf.addr2) + one(leaf.scalar) +
+           pred(leaf.pred) + pred(leaf.pred2);
+}
+
+TEST(MicroOpRuntime, TidTablesMatchTreeWalk)
+{
+    // Decode every case through one shared memo (concurrently, on the
+    // pool) and through a private one. Each tid table must equal
+    // ir::evalInt of its pure-tid part on every thread; the shared memo
+    // must hand out one table per key (thread count + slot program) and
+    // distinct tables for distinct keys; and micro-op runs must be
+    // byte-identical either way.
+    const std::vector<TidTableCase> cases = tidTableCases();
+    const int64_t n_cases = static_cast<int64_t>(cases.size());
+    sim::TidTableMemo memo;
+    std::vector<sim::MicroProgram> shared_decodes(cases.size());
+    std::vector<sim::MicroProgram> own_decodes(cases.size());
+    cache::parallelFor(
+        n_cases,
+        [&](int64_t i) {
+            shared_decodes[i] =
+                sim::compileMicroProgram(cases[i].kernel, &memo);
+            own_decodes[i] = sim::compileMicroProgram(cases[i].kernel);
+        },
+        /*threads=*/4);
+
+    // Both decodes of every case, run on identically seeded devices.
+    struct RunPair
+    {
+        bool identical = false;
+        std::string detail;
+        sim::SimStats with_memo, without;
+    };
+    std::vector<RunPair> runs(cases.size());
+    cache::parallelFor(
+        n_cases,
+        [&](int64_t i) {
+            const TidTableCase &c = cases[i];
+            if (!shared_decodes[i].ok() || !own_decodes[i].ok())
+                return;
+            sim::Device a(c.oracle.device_bytes), b(c.oracle.device_bytes);
+            runs[i].with_memo =
+                opt::runSeeded(c.kernel, c.oracle, a, sim::Engine::kMicroOps,
+                               nullptr, &shared_decodes[i]);
+            runs[i].without =
+                opt::runSeeded(c.kernel, c.oracle, b, sim::Engine::kMicroOps,
+                               nullptr, &own_decodes[i]);
+            runs[i].identical = opt::devicesIdentical(
+                a, b, c.oracle.device_bytes, &runs[i].detail);
+        },
+        /*threads=*/4);
+
+    std::map<std::string, const std::vector<int64_t> *> table_of_key;
+    std::map<const std::vector<int64_t> *, std::string> key_of_table;
+    int64_t tabulated = 0;
+    for (size_t n = 0; n < cases.size(); ++n) {
+        const TidTableCase &c = cases[n];
+        SCOPED_TRACE(c.name);
+        const sim::MicroProgram &shared = shared_decodes[n];
+        const sim::MicroProgram &own = own_decodes[n];
+        ASSERT_TRUE(shared.ok()) << shared.fallbackReason();
+        ASSERT_TRUE(own.ok()) << own.fallbackReason();
+        ASSERT_EQ(shared.leaves().size(), own.leaves().size());
+        const int threads = c.kernel.block_threads;
+        for (size_t l = 0; l < shared.leaves().size(); ++l) {
+            const sim::DecodedLeaf &leaf = shared.leaves()[l];
+            int checked = 0;
+            for (const auto &[ref, expr] : leafExprs(leaf)) {
+                if (ref->cls != sim::ExprClass::kTabulated)
+                    continue;
+                ++checked;
+                const lir::ThreadExprParts parts =
+                    lir::classifyThreadExpr(expr);
+                ASSERT_EQ(parts.kind, lir::ThreadExprKind::kSeparable);
+                ASSERT_EQ(ref->table->size(), static_cast<size_t>(threads));
+                ir::Env env;
+                for (int t = 0; t < threads; ++t) {
+                    env.bind(lir::tidVar(), t);
+                    ASSERT_EQ((*ref->table)[t],
+                              ir::evalInt(parts.tid_part, env))
+                        << "leaf " << l << " thread " << t;
+                }
+                const std::string key = std::to_string(threads) + ":" +
+                                        tidPartKey(parts.tid_part);
+                const std::vector<int64_t> *table = ref->table.get();
+                auto [by_key, new_key] =
+                    table_of_key.emplace(key, table);
+                EXPECT_EQ(by_key->second, table)
+                    << "equal keys, different tables: " << key;
+                auto [by_table, new_table] =
+                    key_of_table.emplace(table, key);
+                EXPECT_EQ(by_table->second, key)
+                    << "one table, different keys";
+                EXPECT_EQ(new_key, new_table);
+            }
+            EXPECT_EQ(checked, countTabulated(leaf)) << "leaf " << l;
+            EXPECT_EQ(countTabulated(own.leaves()[l]), checked);
+            tabulated += checked;
+        }
+
+        const RunPair &run = runs[n];
+        EXPECT_TRUE(run.identical) << run.detail;
+#define TILUS_EXPECT_COUNTER_EQ(f) \
+    EXPECT_EQ(run.with_memo.f, run.without.f) << #f;
+        TILUS_SIM_COUNTERS(TILUS_EXPECT_COUNTER_EQ)
+#undef TILUS_EXPECT_COUNTER_EQ
+    }
+    // The sweep's probes repeat their swizzled address parts: the memo
+    // must actually share.
+    EXPECT_GT(tabulated, 0);
+    EXPECT_LT(static_cast<int64_t>(table_of_key.size()), tabulated);
 }
 
 // ---------------------------------------------------------------------

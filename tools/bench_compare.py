@@ -101,6 +101,10 @@ SPECS = {
             ("operator_tune.warm_compiles", "equal", 0),
             ("engine_tune.cold_compiles", "equal", 0),
             ("engine_tune.warm_compiles", "equal", 0),
+            # Tid tables the cold pass's decodes request and the distinct
+            # ones its runtime's memo builds.
+            ("engine_tune.tid_tables", "equal", 0),
+            ("engine_tune.tid_tables_built", "equal", 0),
         ],
     },
     "serving": {
