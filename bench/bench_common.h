@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baselines/baselines.h"
+#include "obs/sink.h"
 #include "runtime/runtime.h"
 
 namespace tilus {
@@ -41,6 +42,23 @@ fmtMs(double us)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.1f", us / 1000.0);
     return buf;
+}
+
+/**
+ * A bench's JSON report: written to argv[1] ("wrote <path>") when a
+ * path is given, else printed to stdout. False when the write failed.
+ */
+inline bool
+emitReport(int argc, char **argv, const std::string &json)
+{
+    if (argc <= 1) {
+        std::printf("\n%s", json.c_str());
+        return true;
+    }
+    if (!obs::writeDocument(argv[1], json))
+        return false;
+    std::printf("\nwrote %s\n", argv[1]);
+    return true;
 }
 
 /** The six weight types of Figure 10 in the paper's order. */

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unistd.h>
 #include <vector>
@@ -253,21 +252,10 @@ main(int argc, char **argv)
          << ",\"speedup\":" << engine_speedup << "}"
          << ",\"kernel_artifacts_stored\":" << kstats.stores
          << ",\"tune_records_stored\":" << tstats.stores << "}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
-
     std::error_code ec;
     std::filesystem::remove_all(cache_dir, ec);
+    if (!emitReport(argc, argv, json.str()))
+        return 1;
 
     // Regression gate: a warm tune pass must be at least 5x faster than
     // cold (in practice it is orders of magnitude — the database hit

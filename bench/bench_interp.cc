@@ -20,7 +20,6 @@
  */
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "bench_common.h"
@@ -248,18 +247,8 @@ main(int argc, char **argv)
              << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     json << "]}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    if (!emitReport(argc, argv, json.str()))
+        return 1;
 
     // The gate line prints on success too, so a green CI log still
     // shows what was checked.

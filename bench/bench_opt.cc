@@ -11,7 +11,6 @@
  * per-pass latency deltas. With an argument, the sweep is recorded as a
  * JSON document (see BENCH_opt.json).
  */
-#include <fstream>
 #include <sstream>
 
 #include "bench_common.h"
@@ -179,18 +178,8 @@ main(int argc, char **argv)
              << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     json << "]}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    if (!emitReport(argc, argv, json.str()))
+        return 1;
 
     // Self-gate on the headline kernel (stage-1 u4: the one the
     // software-pipelining pass exists for): O2 must pipeline it and win

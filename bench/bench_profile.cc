@@ -13,7 +13,6 @@
  * this binary as its smoke test.
  */
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "bench_common.h"
@@ -171,18 +170,8 @@ main(int argc, char **argv)
              << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     json << "]}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    if (!emitReport(argc, argv, json.str()))
+        return 1;
 
     // The Figure 1(b) story as a hard gate: the profiler must see the
     // synchronous loop stall (serialization-bound at O0) disappear into

@@ -45,7 +45,7 @@
  */
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "support/percentile.h"
@@ -658,18 +658,8 @@ main(int argc, char **argv)
              << (i + 1 < reports.size() ? ",\n" : "\n");
     json << "],\"stress\":" << stress.evidence
          << ",\"faults\":" << faults.evidence << "}\n";
-    if (argc > 1) {
-        std::ofstream out(argv[1]);
-        out << json.str();
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "\nerror: cannot write %s\n", argv[1]);
-            return 1;
-        }
-        std::printf("\nwrote %s\n", argv[1]);
-    } else {
-        std::printf("\n%s", json.str().c_str());
-    }
+    if (!emitReport(argc, argv, json.str()))
+        return 1;
     if (!gates_ok) {
         std::fprintf(stderr, "\nerror: serving gates failed (see GATE "
                              "FAIL lines above)\n");

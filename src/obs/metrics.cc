@@ -2,13 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "obs/sink.h"
 #include "obs/trace.h"
-#include "support/logging.h"
 
 namespace tilus {
 namespace obs {
@@ -29,28 +27,18 @@ fmtDouble(double v)
     return jsonNum(v);
 }
 
-void
-atexitDump()
-{
-    const char *path = std::getenv("TILUS_METRICS");
-    if (!path || !*path)
-        return;
-    if (!Registry::instance().writeFile(path))
-        warn(std::string("TILUS_METRICS: cannot write ") + path);
-}
-
 } // namespace
 
 Registry &
 Registry::instance()
 {
-    // Leaked on purpose: the atexit dump (and late metric updates from
-    // static destructors) must never race registry destruction.
+    // Leaked on purpose; see armFromEnv.
     static Registry *registry = [] {
         Registry *r = new Registry();
-        if (const char *path = std::getenv("TILUS_METRICS");
-            path && *path)
-            std::atexit(atexitDump);
+        r->exit_path_ = armFromEnv("TILUS_METRICS", [] {
+            const Registry &self = instance();
+            self.writeFile(self.exit_path_);
+        });
         return r;
     }();
     return *registry;
@@ -235,12 +223,7 @@ Registry::writeFile(const std::string &path) const
 {
     const bool prom = path.size() >= 5 &&
                       path.compare(path.size() - 5, 5, ".prom") == 0;
-    std::ofstream out(path);
-    out << (prom ? toPrometheus() : toJson());
-    if (!prom)
-        out << "\n";
-    out.flush();
-    return static_cast<bool>(out);
+    return writeDocument(path, prom ? toPrometheus() : toJson() + "\n");
 }
 
 void

@@ -14,8 +14,8 @@
  *
  * Dumps: toJson() (sorted keys, machine-diffable) and toPrometheus()
  * (text exposition format). Setting TILUS_METRICS=<path> writes a dump
- * at process exit — a ".prom" suffix selects the Prometheus format,
- * anything else JSON.
+ * at process exit (armed through obs/sink.h) — a ".prom" suffix selects
+ * the Prometheus format, anything else JSON.
  *
  * Naming contract: metric names are Prometheus-compatible
  * ([a-z_][a-z0-9_]*), unprefixed here; dumps prepend "tilus_".
@@ -170,13 +170,15 @@ class Registry
     /** Prometheus text exposition format ("tilus_" prefix added). */
     std::string toPrometheus() const;
 
-    /** Write toPrometheus() when @p path ends in ".prom", else toJson(). */
+    /** Write toPrometheus() when @p path ends in ".prom", else toJson();
+        returns success (see writeDocument). */
     bool writeFile(const std::string &path) const;
 
     /** Zero every registered metric (handles stay valid). Tests only. */
     void zeroAllForTest();
 
   private:
+    std::string exit_path_; ///< TILUS_METRICS; set once by instance()
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -4,12 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 
 #include "obs/build_info.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
-#include "support/logging.h"
 
 namespace tilus {
 namespace obs {
@@ -467,28 +466,16 @@ ProfileCollector::finish(const sim::SimStats &block_stats,
 // ProfileSink
 // ------------------------------------------------------------------
 
-namespace {
-
-void
-atexitFlushProfiles()
-{
-    ProfileSink::instance().flush();
-}
-
-} // namespace
-
 ProfileSink &
 ProfileSink::instance()
 {
-    // Leaked on purpose: the atexit flush (and late launches from
-    // static destructors) must outlive ordinary static teardown.
+    // Leaked on purpose; see armFromEnv.
     static ProfileSink *sink = [] {
         auto *s = new ProfileSink();
-        if (const char *path = std::getenv("TILUS_PROFILE");
-            path && *path) {
+        const std::string path =
+            armFromEnv("TILUS_PROFILE", [] { instance().flush(); });
+        if (!path.empty())
             s->enable(path);
-            std::atexit(atexitFlushProfiles);
-        }
         return s;
     }();
     return *sink;
@@ -550,15 +537,7 @@ ProfileSink::flush()
         std::lock_guard<std::mutex> lock(mutex_);
         path = path_;
     }
-    if (path.empty())
-        return false;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        warn("cannot write profile document to " + path);
-        return false;
-    }
-    out << document();
-    return static_cast<bool>(out);
+    return !path.empty() && writeDocument(path, document());
 }
 
 int64_t

@@ -30,9 +30,9 @@
  * with TILUS_PROFILE=<path> — runtime::Runtime::launch then profiles
  * every launch and the ProfileSink writes a JSON document of the last
  * profile per kernel at process exit (tools/report_profile.py validates
- * and renders it; there is no C++ reader). Disarmed, profiling costs exactly one pointer test per leaf and
- * runs stay byte-identical (same contract as trace.h / fault.h;
- * A/B-gated in bench/bench_interp.cc).
+ * and renders it; there is no C++ reader). Disarmed, profiling costs
+ * exactly one pointer test per leaf and runs stay byte-identical (same
+ * contract as trace.h / fault.h; A/B-gated in bench/bench_interp.cc).
  *
  * Thread safety: a ProfileCollector is NOT thread-safe — use one per
  * run. The ProfileSink is a mutex-guarded process singleton.
@@ -258,8 +258,9 @@ class ProfileCollector
  * Process-wide sink armed by TILUS_PROFILE=<path>: keeps the last
  * KernelProfile per kernel name and writes one JSON document
  * ({"schema": "tilus-profile-v1", build_info, profiles sorted by
- * kernel name}) at process exit. Same arming/flushing pattern as
- * obs::Tracer / obs::Registry.
+ * kernel name}) at process exit. Armed and written through
+ * obs/sink.h (armFromEnv, writeDocument), like obs::Tracer and
+ * obs::Registry.
  */
 class ProfileSink
 {

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "obs/build_info.h"
-#include "support/logging.h"
+#include "obs/sink.h"
 
 namespace tilus {
 namespace obs {
@@ -29,12 +27,6 @@ fmtTs(double ts_us)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.3f", ts_us);
     return buf;
-}
-
-void
-atexitFlush()
-{
-    Tracer::instance().flush();
 }
 
 // Per-thread slot into the tracer's buffer table. The epoch check
@@ -86,16 +78,21 @@ jsonNum(double v)
 // ----------------------------------------------------------------- Args
 
 Args &
-Args::add(const char *key, const std::string &value)
+Args::field(const char *key, const std::string &json)
 {
     if (!body_.empty())
         body_ += ',';
     body_ += '"';
     body_ += jsonEscape(key);
-    body_ += "\":\"";
-    body_ += jsonEscape(value);
-    body_ += '"';
+    body_ += "\":";
+    body_ += json;
     return *this;
+}
+
+Args &
+Args::add(const char *key, const std::string &value)
+{
+    return field(key, '"' + jsonEscape(value) + '"');
 }
 
 Args &
@@ -107,37 +104,19 @@ Args::add(const char *key, const char *value)
 Args &
 Args::add(const char *key, int64_t value)
 {
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":";
-    body_ += std::to_string(value);
-    return *this;
+    return field(key, std::to_string(value));
 }
 
 Args &
 Args::add(const char *key, double value)
 {
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":";
-    body_ += jsonNum(value);
-    return *this;
+    return field(key, jsonNum(value));
 }
 
 Args &
 Args::add(const char *key, bool value)
 {
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(key);
-    body_ += "\":";
-    body_ += value ? "true" : "false";
-    return *this;
+    return field(key, value ? "true" : "false");
 }
 
 std::string
@@ -151,17 +130,25 @@ Args::render() const
 Tracer &
 Tracer::instance()
 {
-    // Leaked on purpose: the atexit flush (and spans living in static
-    // destructors) must never race tracer destruction.
+    // Leaked on purpose; see armFromEnv.
     static Tracer *tracer = [] {
         Tracer *t = new Tracer();
-        if (const char *path = std::getenv("TILUS_TRACE"); path && *path) {
+        const std::string path =
+            armFromEnv("TILUS_TRACE", [] { instance().flush(); });
+        if (!path.empty())
             t->enable(path);
-            std::atexit(atexitFlush);
-        }
         return t;
     }();
     return *tracer;
+}
+
+TraceEvent
+Tracer::makeEvent(char ph, int32_t pid, int32_t tid, double ts_us,
+                  const char *cat, const std::string &name,
+                  const Args &args, uint64_t id)
+{
+    return TraceEvent{ph, pid, tid, id, ts_us, cat, name,
+                      args.empty() ? "" : args.render()};
 }
 
 void
@@ -177,16 +164,9 @@ Tracer::enable(const std::string &path)
     clock_anchor_ns_.store(steadyNowNs(), std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
     enabled_.store(true, std::memory_order_release);
-
-    TraceEvent proc;
-    proc.ph = 'M';
-    proc.pid = 1;
-    proc.tid = 0;
-    proc.ts_us = 0;
-    proc.cat = "__metadata";
-    proc.name = "process_name";
-    proc.args_json = Args().add("name", "tilus (wall clock)").render();
-    meta_events_.push_back(std::move(proc));
+    meta_events_.push_back(
+        makeEvent('M', 1, 0, 0, "__metadata", "process_name",
+                  Args().add("name", "tilus (wall clock)")));
 }
 
 void
@@ -238,16 +218,9 @@ Tracer::threadBuffer()
     ThreadBuffer *raw = buffer.get();
     buffers_.push_back(std::move(buffer));
 
-    TraceEvent meta;
-    meta.ph = 'M';
-    meta.pid = 1;
-    meta.tid = raw->tid;
-    meta.ts_us = 0;
-    meta.cat = "__metadata";
-    meta.name = "thread_name";
-    meta.args_json =
-        Args().add("name", "thread " + std::to_string(raw->tid)).render();
-    meta_events_.push_back(std::move(meta));
+    meta_events_.push_back(makeEvent(
+        'M', 1, raw->tid, 0, "__metadata", "thread_name",
+        Args().add("name", "thread " + std::to_string(raw->tid))));
 
     t_slot.epoch = epoch_.load(std::memory_order_relaxed);
     t_slot.buffer = raw;
@@ -283,47 +256,22 @@ Tracer::emitMeta(TraceEvent event)
 void
 Tracer::begin(const char *cat, const std::string &name)
 {
-    if (!enabled())
-        return;
-    TraceEvent e;
-    e.ph = 'B';
-    e.pid = 1;
-    e.ts_us = nowUs();
-    e.cat = cat;
-    e.name = name;
-    emit(std::move(e));
+    if (enabled())
+        emit(makeEvent('B', 1, -1, nowUs(), cat, name));
 }
 
 void
 Tracer::end(const char *cat, const std::string &name, const Args &args)
 {
-    if (!enabled())
-        return;
-    TraceEvent e;
-    e.ph = 'E';
-    e.pid = 1;
-    e.ts_us = nowUs();
-    e.cat = cat;
-    e.name = name;
-    if (!args.empty())
-        e.args_json = args.render();
-    emit(std::move(e));
+    if (enabled())
+        emit(makeEvent('E', 1, -1, nowUs(), cat, name, args));
 }
 
 void
 Tracer::instant(const char *cat, const std::string &name, const Args &args)
 {
-    if (!enabled())
-        return;
-    TraceEvent e;
-    e.ph = 'i';
-    e.pid = 1;
-    e.ts_us = nowUs();
-    e.cat = cat;
-    e.name = name;
-    if (!args.empty())
-        e.args_json = args.render();
-    emit(std::move(e));
+    if (enabled())
+        emit(makeEvent('i', 1, -1, nowUs(), cat, name, args));
 }
 
 int
@@ -332,16 +280,8 @@ Tracer::virtualProcess(const std::string &name)
     if (!enabled())
         return 0;
     const int pid = next_virtual_pid_.fetch_add(1, std::memory_order_relaxed);
-    TraceEvent meta;
-    meta.ph = 'M';
-    meta.pid = pid;
-    meta.tid = 0;
-    meta.ts_us = 0;
-    meta.cat = "__metadata";
-    meta.name = "process_name";
-    meta.args_json =
-        Args().add("name", name + " (virtual clock)").render();
-    emitMeta(std::move(meta));
+    emitMeta(makeEvent('M', pid, 0, 0, "__metadata", "process_name",
+                       Args().add("name", name + " (virtual clock)")));
     return pid;
 }
 
@@ -349,99 +289,43 @@ void
 Tracer::virtualBegin(int pid, const char *cat, const std::string &name,
                      double ts_ms, const Args &args)
 {
-    TraceEvent e;
-    e.ph = 'B';
-    e.pid = pid;
-    e.tid = 0;
-    e.ts_us = ts_ms * 1000.0;
-    e.cat = cat;
-    e.name = name;
-    if (!args.empty())
-        e.args_json = args.render();
-    emit(std::move(e));
+    emit(makeEvent('B', pid, 0, ts_ms * 1000.0, cat, name, args));
 }
 
 void
 Tracer::virtualEnd(int pid, const char *cat, const std::string &name,
                    double ts_ms, const Args &args)
 {
-    TraceEvent e;
-    e.ph = 'E';
-    e.pid = pid;
-    e.tid = 0;
-    e.ts_us = ts_ms * 1000.0;
-    e.cat = cat;
-    e.name = name;
-    if (!args.empty())
-        e.args_json = args.render();
-    emit(std::move(e));
-}
-
-void
-Tracer::virtualCounter(int pid, const std::string &name, double ts_ms,
-                       double value)
-{
-    virtualCounter(pid, "serving", name, ts_ms, value);
+    emit(makeEvent('E', pid, 0, ts_ms * 1000.0, cat, name, args));
 }
 
 void
 Tracer::virtualCounter(int pid, const char *cat, const std::string &name,
                        double ts_ms, double value)
 {
-    TraceEvent e;
-    e.ph = 'C';
-    e.pid = pid;
-    e.tid = 0;
-    e.ts_us = ts_ms * 1000.0;
-    e.cat = cat;
-    e.name = name;
-    e.args_json = Args().add("value", value).render();
-    emit(std::move(e));
+    emit(makeEvent('C', pid, 0, ts_ms * 1000.0, cat, name,
+                   Args().add("value", value)));
 }
 
 void
 Tracer::asyncBegin(int pid, const char *cat, const std::string &name,
                    uint64_t id, double ts_ms)
 {
-    TraceEvent e;
-    e.ph = 'b';
-    e.pid = pid;
-    e.tid = 0;
-    e.id = id;
-    e.ts_us = ts_ms * 1000.0;
-    e.cat = cat;
-    e.name = name;
-    emit(std::move(e));
+    emit(makeEvent('b', pid, 0, ts_ms * 1000.0, cat, name, {}, id));
 }
 
 void
 Tracer::asyncInstant(int pid, const char *cat, const std::string &name,
                      uint64_t id, double ts_ms)
 {
-    TraceEvent e;
-    e.ph = 'n';
-    e.pid = pid;
-    e.tid = 0;
-    e.id = id;
-    e.ts_us = ts_ms * 1000.0;
-    e.cat = cat;
-    e.name = name;
-    emit(std::move(e));
+    emit(makeEvent('n', pid, 0, ts_ms * 1000.0, cat, name, {}, id));
 }
 
 void
 Tracer::asyncEnd(int pid, const char *cat, const std::string &name,
                  uint64_t id, double ts_ms)
 {
-    TraceEvent e;
-    e.ph = 'e';
-    e.pid = pid;
-    e.tid = 0;
-    e.id = id;
-    e.ts_us = ts_ms * 1000.0;
-    e.cat = cat;
-    e.name = name;
-    emit(std::move(e));
+    emit(makeEvent('e', pid, 0, ts_ms * 1000.0, cat, name, {}, id));
 }
 
 int64_t
@@ -554,16 +438,7 @@ Tracer::flush()
         std::lock_guard<std::mutex> lock(mutex_);
         path = path_;
     }
-    if (path.empty())
-        return false;
-    std::ofstream out(path);
-    out << document();
-    out.flush();
-    if (!out) {
-        warn(std::string("TILUS_TRACE: cannot write ") + path);
-        return false;
-    }
-    return true;
+    return !path.empty() && writeDocument(path, document());
 }
 
 // ----------------------------------------------------------------- Span

@@ -66,6 +66,9 @@ class Args
     std::string render() const;
 
   private:
+    /** Append "key":json — the shared body of every add(). */
+    Args &field(const char *key, const std::string &json);
+
     std::string body_;
 };
 
@@ -145,10 +148,9 @@ class Tracer
                       double ts_ms, const Args &args = {});
     void virtualEnd(int pid, const char *cat, const std::string &name,
                     double ts_ms, const Args &args = {});
-    void virtualCounter(int pid, const std::string &name, double ts_ms,
-                        double value);
-    /** Counter sample on an explicit category (e.g. "series" for the
-        per-window report series tracks). */
+    /** Counter sample (ph 'C') carrying {"value": value}, on @p cat
+        (e.g. "serving" for KV occupancy, "series" for the per-window
+        report series tracks). */
     void virtualCounter(int pid, const char *cat, const std::string &name,
                         double ts_ms, double value);
     void asyncBegin(int pid, const char *cat, const std::string &name,
@@ -173,6 +175,13 @@ class Tracer
         int64_t dropped = 0;
         std::vector<TraceEvent> events;
     };
+
+    /** The one place a TraceEvent is assembled (args render only
+        when non-empty). */
+    static TraceEvent makeEvent(char ph, int32_t pid, int32_t tid,
+                                double ts_us, const char *cat,
+                                const std::string &name,
+                                const Args &args = {}, uint64_t id = 0);
 
     ThreadBuffer *threadBuffer();
     void emitMeta(TraceEvent event);

@@ -166,10 +166,7 @@ ServingReport::toJson() const
     return oss.str();
 }
 
-MetricTracker::MetricTracker(double sketch_accuracy,
-                             double series_window_ms)
-    : ttft_(sketch_accuracy), tpot_(sketch_accuracy),
-      latency_(sketch_accuracy), queue_wait_(sketch_accuracy)
+MetricTracker::MetricTracker(double series_window_ms)
 {
     if (series_window_ms > 0) {
         series_ = obs::TimeSeries(series_window_ms);

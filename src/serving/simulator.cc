@@ -233,8 +233,7 @@ Simulator::run(const Trace &trace)
 
     // Incremental accumulation: sketches and series absorb each finish
     // and step as they happen — no per-request metric vectors.
-    MetricTracker tracker(options_.sketch_accuracy,
-                          options_.series_window_ms);
+    MetricTracker tracker(options_.series_window_ms);
     double busy_end_ms = 0; ///< clock after the last engine step
     int64_t safety = 0;
 
@@ -591,7 +590,7 @@ Simulator::run(const Trace &trace)
         // The occupancy track samples after releases so a drop from a
         // finishing request is visible at the step boundary.
         if (tracing)
-            tracer.virtualCounter(vpid, "kv_used_tokens", now,
+            tracer.virtualCounter(vpid, "serving", "kv_used_tokens", now,
                                   static_cast<double>(kv_used_tokens));
     }
 

@@ -45,10 +45,6 @@ struct SimOptions
     /** Abort (SimError) when the virtual clock passes this; 0 = none. */
     double max_sim_ms = 0;
 
-    /** Relative-error bound of the report's latency sketches (TTFT /
-        TPOT / latency / queue-wait percentiles). */
-    double sketch_accuracy = obs::kDefaultSketchAccuracy;
-
     /** Window width of the report's "series" block (virtual ms);
         <= 0 disables the series. */
     double series_window_ms = 1000.0;

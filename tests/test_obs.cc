@@ -4,18 +4,24 @@
  * pinned byte-for-byte by a golden virtual-clock document, wall spans
  * render balanced B/E pairs with sorted keys, the tracer survives
  * concurrent emission from many threads without losing or corrupting
- * events, disabled mode allocates no buffers and records nothing, and
- * the metrics registry counts correctly under contention and dumps
- * valid JSON / Prometheus text.
+ * events, disabled mode allocates no buffers and records nothing, the
+ * metrics registry counts correctly under contention and dumps valid
+ * JSON / Prometheus text, and every document writer reports a failed
+ * write.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/build_info.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/sink.h"
 #include "obs/sketch.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -61,7 +67,7 @@ TEST_F(TracerTest, GoldenVirtualTraceIsPinned)
     tracer.virtualBegin(pid, "serving", "step", 0.0,
                         obs::Args().add("batch", int64_t{4}));
     tracer.asyncBegin(pid, "request", "req 0", 7, 0.5);
-    tracer.virtualCounter(pid, "kv_used_tokens", 1.0, 3.0);
+    tracer.virtualCounter(pid, "serving", "kv_used_tokens", 1.0, 3.0);
     tracer.asyncInstant(pid, "request", "first-token", 7, 1.25);
     tracer.asyncEnd(pid, "request", "req 0", 7, 2.0);
     tracer.virtualEnd(pid, "serving", "step", 2.0);
@@ -177,7 +183,7 @@ TEST_F(TracerTest, DisabledModeRecordsNothingAndAllocatesNoBuffers)
         span.arg("ignored", int64_t{1});
     }
     tracer.virtualBegin(1, "serving", "no", 0.0);
-    tracer.virtualCounter(1, "no", 0.0, 0.0);
+    tracer.virtualCounter(1, "serving", "no", 0.0, 0.0);
     tracer.asyncBegin(1, "request", "no", 1, 0.0);
     EXPECT_EQ(tracer.virtualProcess("no"), 0);
     EXPECT_EQ(tracer.eventCount(), 0);
@@ -321,6 +327,45 @@ TEST(Metrics, ZeroAllForTestKeepsHandles)
     EXPECT_EQ(c.value(), 0);
     c.add(1);
     EXPECT_EQ(registry.counterValue("z_total"), 1);
+}
+
+// The three env-armed documents share one writer, which flushes before
+// it checks the stream: a full device must read as a failed write, not
+// as a document on disk.
+TEST(Sink, EveryWriterReportsFailureOnFullDevice)
+{
+    obs::Tracer tracer;
+    tracer.enable("/dev/full");
+    EXPECT_FALSE(tracer.flush());
+
+    obs::ProfileSink sink;
+    sink.enable("/dev/full");
+    EXPECT_FALSE(sink.flush());
+
+    obs::Registry registry;
+    registry.counter("x_total").add();
+    EXPECT_FALSE(registry.writeFile("/dev/full"));
+
+    EXPECT_FALSE(obs::writeDocument(
+        ::testing::TempDir() + "no-such-dir/doc.json", "{}"));
+}
+
+TEST(Sink, WriteFileKeepsFormatSwitchAndTrailingNewline)
+{
+    obs::Registry registry;
+    registry.counter("a_total").add(3);
+    const auto readBack = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::remove(path.c_str());
+        return text.str();
+    };
+    const std::string base = ::testing::TempDir() + "tilus_sink_test";
+    ASSERT_TRUE(registry.writeFile(base + ".json"));
+    EXPECT_EQ(readBack(base + ".json"), registry.toJson() + "\n");
+    ASSERT_TRUE(registry.writeFile(base + ".prom"));
+    EXPECT_EQ(readBack(base + ".prom"), registry.toPrometheus());
 }
 
 TEST(BuildInfo, ProvenanceIsStamped)
