@@ -8,12 +8,16 @@
  * *compile*-bound. This harness measures what src/cache/ does about it:
  *
  *  1. per-phase micro costs — program build, compiler::compile,
- *     content fingerprint, kernel serialize/deserialize;
+ *     content fingerprint, kernel serialize/deserialize, and reading a
+ *     verified blob back from disk;
  *  2. one full operator tuning pass, cold (fresh cache directory,
  *     compile pool active) vs warm (fresh Runtime, persistent
  *     autotune-database hit);
  *  3. an llm::Engine tune pass (every linear of a served model plus the
- *     LM head), cold vs warm across simulated process restarts.
+ *     LM head), cold vs warm across simulated process restarts, and a
+ *     retune: the tune database emptied and the kernel store kept, so
+ *     every kernel is read from disk, verified, deserialized and
+ *     decoded, and none is compiled.
  *
  * The sweep is recorded as JSON (see BENCH_compile.json) with an
  * argument. Exits non-zero if the warm engine pass is not at least 5x
@@ -32,6 +36,7 @@
 
 #include "autotune/tuner.h"
 #include "bench_common.h"
+#include "cache/blob_store.h"
 #include "cache/compile_pool.h"
 #include "cache/kernel_cache.h"
 #include "cache/serialize.h"
@@ -125,6 +130,26 @@ main(int argc, char **argv)
         timeMs(20, [&] { payload = cache::serializeKernel(kernel); });
     const double deserialize_ms =
         timeMs(20, [&] { cache::deserializeKernel(payload); });
+    // A blob of its own, outside the kernel store: storing the kernel
+    // there would turn one of the operator tune's compiles into a load.
+    const std::string blob_path = cache_dir + "/phase.lirk";
+    std::filesystem::create_directories(cache_dir);
+    if (!cache::writeBlobAtomic(blob_path, cache::kKernelMagic,
+                                cache::kCacheFormatVersion, payload)) {
+        std::fprintf(stderr, "error: cannot write %s\n", blob_path.c_str());
+        return 1;
+    }
+    std::string loaded, why;
+    cache::BlobRead read = cache::BlobRead::kMissing;
+    const double load_ms = timeMs(20, [&] {
+        read = cache::readBlobFile(blob_path, cache::kKernelMagic,
+                                   cache::kCacheFormatVersion, &loaded,
+                                   &why);
+    });
+    if (read != cache::BlobRead::kHit || loaded != payload) {
+        std::fprintf(stderr, "error: phase blob did not read back\n");
+        return 1;
+    }
 
     std::printf("%-34s %10s\n", "phase (one u4 57344x8192 candidate)",
                 "median ms");
@@ -134,6 +159,7 @@ main(int argc, char **argv)
     std::printf("%-34s %10.3f  (%zu KiB)\n", "serialize kernel",
                 serialize_ms, payload.size() / 1024);
     std::printf("%-34s %10.3f\n", "deserialize kernel", deserialize_ms);
+    std::printf("%-34s %10.3f\n", "load blob (read + verify)", load_ms);
 
     // -------------------------------------- one operator, cold vs warm
     const sim::GpuSpec spec = sim::l40s();
@@ -203,6 +229,22 @@ main(int argc, char **argv)
         engine_warm_ms = nowMs() - start;
         engine_warm_compiles = rt.compileCount();
     }
+    // Retune: a restart with the tune database emptied and the kernel
+    // store kept — the sweeps run again, loading every kernel from disk.
+    double retune_ms;
+    int retune_compiles, retune_disk_loads;
+    {
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 cache_dir + "/tune"))
+            std::filesystem::remove(entry.path());
+        runtime::Runtime rt(spec);
+        llm::ServingEngine engine(rt, model, eopts);
+        double start = nowMs();
+        engine.warmUp(decode_batches, prefill_chunks);
+        retune_ms = nowMs() - start;
+        retune_compiles = rt.compileCount();
+        retune_disk_loads = rt.diskLoadCount();
+    }
     const double engine_speedup = engine_cold_ms / engine_warm_ms;
     std::printf("\nllm::Engine tune pass (%s, u4, decode 16 + prefill "
                 "256):\n",
@@ -215,6 +257,9 @@ main(int argc, char **argv)
     std::printf("  warm: %10.1f ms  (%d kernels compiled) -> %s\n",
                 engine_warm_ms, engine_warm_compiles,
                 fmtSpeedup(engine_speedup).c_str());
+    std::printf("  retune: %8.1f ms  (%d kernels compiled, %d loaded "
+                "from disk)\n",
+                retune_ms, retune_compiles, retune_disk_loads);
 
     const cache::CacheStats kstats =
         cache::KernelCache::instance().stats();
@@ -235,6 +280,7 @@ main(int argc, char **argv)
          << ",\"fingerprint\":" << fingerprint_ms
          << ",\"serialize\":" << serialize_ms
          << ",\"deserialize\":" << deserialize_ms
+         << ",\"load\":" << load_ms
          << ",\"payload_bytes\":" << payload.size() << "}"
          << ",\"operator_tune\":{\"candidates\":" << op_candidates
          << ",\"cold_ms\":" << op_cold_ms
@@ -249,6 +295,9 @@ main(int argc, char **argv)
          << ",\"warm_compiles\":" << engine_warm_compiles
          << ",\"tid_tables\":" << engine_tid_tables
          << ",\"tid_tables_built\":" << engine_tid_tables_built
+         << ",\"retune_ms\":" << retune_ms
+         << ",\"retune_compiles\":" << retune_compiles
+         << ",\"retune_disk_loads\":" << retune_disk_loads
          << ",\"speedup\":" << engine_speedup << "}"
          << ",\"kernel_artifacts_stored\":" << kstats.stores
          << ",\"tune_records_stored\":" << tstats.stores << "}\n";

@@ -1,16 +1,16 @@
 #include "cache/blob_store.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fcntl.h>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "cache/codec.h"
-#include "cache/fingerprint.h"
 #include "obs/metrics.h"
 #include "support/fault.h"
 #include "support/retry.h"
@@ -44,27 +44,98 @@ defaultCacheDir()
     return "/tmp/tilus-cache";
 }
 
+namespace {
+
+/// @name payloadHash constants and steps (the xxHash64 primes).
+/// @{
+constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+inline uint64_t
+rotl64(uint64_t v, int r)
+{
+    return (v << r) | (v >> (64 - r));
+}
+
+/** One lane step: a bijection of @p acc and of @p word (odd multiplies,
+    an add and a rotate). */
+inline uint64_t
+lane(uint64_t acc, uint64_t word)
+{
+    return rotl64(acc + word * kP2, 31) * kP1;
+}
+/// @}
+
+} // namespace
+
 uint64_t
 payloadHash(const std::string &payload)
 {
-    Hasher h;
-    h.bytes(payload.data(), payload.size());
-    return h.digest().lo;
+    const char *p = payload.data();
+    const char *const end = p + payload.size();
+    uint64_t v[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+    for (; end - p >= 32; p += 32)
+        for (int i = 0; i < 4; ++i)
+            v[i] = lane(v[i], loadLE<uint64_t>(p + 8 * i));
+    // Fold the lanes in one at a time. xxHash64 first sums rotated
+    // lanes, which lets a change in one lane cancel against its own
+    // merge round; a chain of xor-multiply steps cannot.
+    uint64_t h = kP5;
+    for (uint64_t lane_v : v)
+        h = (h ^ lane(0, lane_v)) * kP1 + kP4;
+    h += payload.size();
+    for (; end - p >= 8; p += 8)
+        h = rotl64(h ^ lane(0, loadLE<uint64_t>(p)), 27) * kP1 + kP4;
+    if (end - p >= 4) {
+        h = rotl64(h ^ loadLE<uint32_t>(p) * kP1, 23) * kP2 + kP3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        h = rotl64(h ^ static_cast<uint8_t>(*p) * kP5, 11) * kP1;
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    h ^= h >> 32;
+    return h;
+}
+
+namespace {
+
+/**
+ * readv until every byte of @p iov is filled; false on an I/O error or
+ * on end of file before that (a file that shrank under us).
+ */
+bool
+readFull(int fd, iovec *iov, int count)
+{
+    for (;;) {
+        for (; count > 0 && iov->iov_len == 0; ++iov)
+            --count;
+        if (count == 0)
+            return true;
+        const ssize_t got = ::readv(fd, iov, count);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        size_t left = static_cast<size_t>(got);
+        for (; count > 0 && left >= iov->iov_len; ++iov, --count)
+            left -= iov->iov_len;
+        if (count > 0) {
+            iov->iov_base = static_cast<char *>(iov->iov_base) + left;
+            iov->iov_len -= left;
+        }
+    }
 }
 
 BlobRead
-readBlobFile(const std::string &path, uint32_t magic, uint32_t version,
-             std::string *payload, std::string *why)
+readBlobFd(int fd, uint32_t magic, uint32_t version,
+           std::string *payload, std::string *why)
 {
-    std::string blob;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            return BlobRead::kMissing;
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        blob = oss.str();
-    }
     auto corrupt = [&](const char *reason) {
         if (why)
             *why = reason;
@@ -72,25 +143,54 @@ readBlobFile(const std::string &path, uint32_t magic, uint32_t version,
     };
     if (fault::maybeFail("cache.disk.read"))
         return corrupt("injected read I/O error");
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
+        return corrupt("not a regular file");
+
+    // One read: the header lands in a local, the payload directly in
+    // the string that is handed back.
+    const size_t size = static_cast<size_t>(st.st_size);
+    char header[kHeaderBytes];
+    const size_t header_size = std::min(size, kHeaderBytes);
+    std::string body(size - header_size, '\0');
+    iovec iov[2] = {{header, header_size}, {body.data(), body.size()}};
+    if (!readFull(fd, iov, 2))
+        return corrupt("short read");
+
     // Silent media corruption: flip one bit mid-blob and let the normal
     // verification catch it — exercises the same reject path real
     // damage would.
-    if (!blob.empty() && fault::maybeFail("cache.disk.corrupt"))
-        blob[blob.size() / 2] ^= 0x01;
-    ByteReader header(blob);
-    if (blob.size() < kHeaderBytes)
+    if (size > 0 && fault::maybeFail("cache.disk.corrupt")) {
+        const size_t mid = size / 2;
+        (mid < kHeaderBytes ? header[mid]
+                            : body[mid - kHeaderBytes]) ^= 0x01;
+    }
+    if (size < kHeaderBytes)
         return corrupt("truncated header");
-    if (header.u32() != magic)
+    if (loadLE<uint32_t>(header) != magic)
         return corrupt("bad magic");
-    if (header.u32() != version)
+    if (loadLE<uint32_t>(header + 4) != version)
         return corrupt("format version mismatch");
-    if (header.u64() != blob.size() - kHeaderBytes)
+    if (loadLE<uint64_t>(header + 8) != body.size())
         return corrupt("truncated payload");
-    std::string body = blob.substr(kHeaderBytes);
-    if (payloadHash(body) != header.u64())
+    if (payloadHash(body) != loadLE<uint64_t>(header + 16))
         return corrupt("payload hash mismatch");
     *payload = std::move(body);
     return BlobRead::kHit;
+}
+
+} // namespace
+
+BlobRead
+readBlobFile(const std::string &path, uint32_t magic, uint32_t version,
+             std::string *payload, std::string *why)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return BlobRead::kMissing;
+    const BlobRead result = readBlobFd(fd, magic, version, payload, why);
+    ::close(fd);
+    return result;
 }
 
 namespace {

@@ -11,6 +11,10 @@
  * checks once at the end), while serialize.cc's payload Reader throws
  * CacheFormatError mid-stream (variable-shape payloads where a bad tag
  * must stop the parse immediately). Both consume these exact encodings.
+ *
+ * Multi-byte values move as one memcpy of the host word, so the host
+ * must be little-endian; the static_assert below keeps the on-disk
+ * format explicit instead of silently host-ordered.
  */
 #pragma once
 
@@ -18,8 +22,21 @@
 #include <cstring>
 #include <string>
 
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "src/cache/ encodes little-endian by copying host words");
+
 namespace tilus {
 namespace cache {
+
+/** Load a little-endian word from @p p (no alignment needed). */
+template <typename T>
+inline T
+loadLE(const char *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+}
 
 /// @name Little-endian appenders.
 /// @{
@@ -32,15 +49,17 @@ putU8(std::string &out, uint8_t v)
 inline void
 putU32(std::string &out, uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
+    char bytes[4];
+    std::memcpy(bytes, &v, 4);
+    out.append(bytes, 4);
 }
 
 inline void
 putU64(std::string &out, uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
+    char bytes[8];
+    std::memcpy(bytes, &v, 8);
+    out.append(bytes, 8);
 }
 
 inline void
@@ -70,33 +89,9 @@ class ByteReader
 
     bool ok() const { return ok_; }
 
-    uint8_t
-    u8()
-    {
-        if (pos_ + 1 > data_.size()) {
-            ok_ = false;
-            return 0;
-        }
-        return static_cast<uint8_t>(data_[pos_++]);
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(u8()) << (8 * i);
-        return v;
-    }
+    uint8_t u8() { return word<uint8_t>(); }
+    uint32_t u32() { return word<uint32_t>(); }
+    uint64_t u64() { return word<uint64_t>(); }
 
     int64_t i64() { return static_cast<int64_t>(u64()); }
 
@@ -112,6 +107,19 @@ class ByteReader
     bool atEnd() const { return ok_ && pos_ == data_.size(); }
 
   private:
+    template <typename T>
+    T
+    word()
+    {
+        if (sizeof(T) > data_.size() - pos_) {
+            ok_ = false;
+            return 0;
+        }
+        const T v = loadLE<T>(data_.data() + pos_);
+        pos_ += sizeof(T);
+        return v;
+    }
+
     const std::string &data_;
     size_t pos_ = 0;
     bool ok_ = true;

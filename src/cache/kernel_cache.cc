@@ -11,12 +11,6 @@
 namespace tilus {
 namespace cache {
 
-namespace {
-
-constexpr uint32_t kMagic = 0x544c4b43; // "TLKC"
-
-} // namespace
-
 KernelCache &
 KernelCache::instance()
 {
@@ -62,7 +56,7 @@ KernelCache::load(const Fingerprint &fp, uint32_t version)
     if (!enabled_)
         return miss();
     std::string payload, why;
-    switch (readBlobFile(entryPath(fp), kMagic, version, &payload,
+    switch (readBlobFile(entryPath(fp), kKernelMagic, version, &payload,
                          &why)) {
       case BlobRead::kMissing:
         return miss();
@@ -100,7 +94,7 @@ KernelCache::store(const Fingerprint &fp, const lir::Kernel &kernel,
 {
     if (!enabled_)
         return;
-    if (!writeBlobAtomic(entryPath(fp), kMagic, version,
+    if (!writeBlobAtomic(entryPath(fp), kKernelMagic, version,
                          serializeKernel(kernel)))
         return;
     obs::Registry::instance().counter("kernel_cache_store_total").add();

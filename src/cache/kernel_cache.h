@@ -29,11 +29,15 @@
 #include <mutex>
 #include <string>
 
+#include "cache/blob_store.h"
 #include "cache/fingerprint.h"
 #include "lir/lir.h"
 
 namespace tilus {
 namespace cache {
+
+/** Blob magic of kernel entries (see blob_store.h). */
+constexpr uint32_t kKernelMagic = blobMagic("TLKC");
 
 /** Counters exposed for tests, benches, and cache diagnostics. */
 struct CacheStats

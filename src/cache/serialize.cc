@@ -226,30 +226,9 @@ class Reader
   public:
     explicit Reader(const std::string &data) : data_(data) {}
 
-    uint8_t
-    u8()
-    {
-        need(1);
-        return static_cast<uint8_t>(data_[pos_++]);
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(u8()) << (8 * i);
-        return v;
-    }
+    uint8_t u8() { return word<uint8_t>(); }
+    uint32_t u32() { return word<uint32_t>(); }
+    uint64_t u64() { return word<uint64_t>(); }
 
     int64_t i64() { return static_cast<int64_t>(u64()); }
 
@@ -461,8 +440,18 @@ class Reader
     void
     need(size_t n) const
     {
-        if (pos_ + n > data_.size())
+        if (n > data_.size() - pos_)
             fail("truncated payload");
+    }
+
+    template <typename T>
+    T
+    word()
+    {
+        need(sizeof(T));
+        const T v = loadLE<T>(data_.data() + pos_);
+        pos_ += sizeof(T);
+        return v;
     }
 
     const std::string &data_;

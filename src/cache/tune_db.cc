@@ -14,7 +14,7 @@ namespace cache {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x544c544e; // "TLTN"
+constexpr uint32_t kMagic = blobMagic("TLTN");
 
 /** Sane ceiling on the stored candidate list (sweeps are ~200). */
 constexpr int64_t kMaxCandidates = 1 << 20;

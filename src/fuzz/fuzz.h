@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/blob_store.h"
 #include "fuzz/harness.h"
 #include "fuzz/minimizer.h"
 #include "lir/lir.h"
@@ -33,8 +34,8 @@
 namespace tilus {
 namespace fuzz {
 
-/** Blob magic of corpus files ("TLFZ"). */
-constexpr uint32_t kCorpusMagic = 0x544c465a;
+/** Blob magic of corpus files. */
+constexpr uint32_t kCorpusMagic = cache::blobMagic("TLFZ");
 
 struct FuzzConfig
 {

@@ -2,6 +2,12 @@
 
 #include <sstream>
 
+// The repository build generates this header on every build; the
+// perfbench build passes TILUS_GIT_DESCRIBE as a definition instead.
+#if __has_include("tilus_git_describe.h")
+#include "tilus_git_describe.h"
+#endif
+
 #include "cache/fingerprint.h"
 #include "cache/tune_db.h"
 #include "compiler/options.h"

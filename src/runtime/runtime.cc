@@ -76,6 +76,12 @@ compileWithRetry(const ir::Program &program,
 
 } // namespace
 
+Runtime::Runtime(sim::GpuSpec spec)
+    : spec_(std::move(spec)), device_(spec_.dram_bytes)
+{
+    obs::ProfileSink::instance();
+}
+
 DeviceTensor
 Runtime::alloc(DataType dtype, std::vector<int64_t> shape)
 {

@@ -59,9 +59,10 @@ struct KernelArg
 class Runtime
 {
   public:
-    explicit Runtime(sim::GpuSpec spec)
-        : spec_(std::move(spec)), device_(spec_.dram_bytes)
-    {}
+    /** Also arms TILUS_PROFILE (obs::ProfileSink), so a process that
+        builds a runtime writes a profile document even if it never
+        launches. */
+    explicit Runtime(sim::GpuSpec spec);
 
     const sim::GpuSpec &spec() const { return spec_; }
     sim::Device &device() { return device_; }

@@ -13,11 +13,15 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <unistd.h>
 
 #include "autotune/tuner.h"
+#include "cache/blob_store.h"
+#include "cache/codec.h"
 #include "cache/compile_pool.h"
 #include "obs/metrics.h"
 #include "support/fault.h"
@@ -58,6 +62,21 @@ struct TempDir
         std::filesystem::remove_all(path, ec);
     }
 };
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
 
 MatmulConfig
 tensorCoreConfig(DataType wdtype)
@@ -326,30 +345,23 @@ TEST(KernelCache, TruncatedAndCorruptEntriesDegradeToMiss)
     fp.lo = 2;
     cache.store(fp, kernel);
     const std::string path = cache.entryPath(fp);
-    std::string blob;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        blob = oss.str();
-    }
+    const std::string blob = readFile(path);
 
     // Truncate at several points, including inside the header.
     for (size_t cut : {size_t(3), size_t(20), blob.size() / 2,
                        blob.size() - 1}) {
-        std::ofstream(path, std::ios::binary | std::ios::trunc)
-            << blob.substr(0, cut);
+        writeFile(path, blob.substr(0, cut));
         EXPECT_EQ(cache.load(fp), nullptr) << "cut=" << cut;
     }
     // Flip a payload byte: the content hash must catch it.
     std::string corrupt = blob;
     corrupt[corrupt.size() - 10] ^= 0x40;
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << corrupt;
+    writeFile(path, corrupt);
     EXPECT_EQ(cache.load(fp), nullptr);
     EXPECT_GE(cache.stats().disk_errors, 5);
 
     // Restore: it loads again (the store itself was never damaged).
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << blob;
+    writeFile(path, blob);
     EXPECT_NE(cache.load(fp), nullptr);
 }
 
@@ -366,6 +378,226 @@ TEST(KernelCache, DisabledCacheMissesAndSkipsWrites)
     EXPECT_EQ(cache.load(fp), nullptr);
     EXPECT_EQ(cache.stats().stores, 0);
     EXPECT_FALSE(std::filesystem::exists(cache.entryPath(fp)));
+}
+
+// ----------------------------------------------------------- blob store
+
+/** bytes(range(n)), the known-answer inputs. */
+std::string
+iota(int n)
+{
+    std::string s;
+    for (int i = 0; i < n; ++i)
+        s.push_back(static_cast<char>(i));
+    return s;
+}
+
+/** Blob written with the fingerprint Hasher's digest under @p magic:
+    the header every store used before the word-at-a-time hash. */
+std::string
+oldFormatBlob(uint32_t magic, uint32_t version, const std::string &payload)
+{
+    cache::Hasher h;
+    h.bytes(payload.data(), payload.size());
+    std::string blob;
+    cache::putU32(blob, magic);
+    cache::putU32(blob, version);
+    cache::putU64(blob, payload.size());
+    cache::putU64(blob, h.digest().lo);
+    return blob + payload;
+}
+
+TEST(BlobStore, PayloadHashKnownAnswers)
+{
+    // tools/check_fuzz.py re-implements payloadHash and self-checks
+    // against these same vectors, so the two cannot drift apart.
+    EXPECT_EQ(cache::payloadHash(iota(0)), 0xc1620d0a2dcaa9d2ull);
+    EXPECT_EQ(cache::payloadHash(iota(256)), 0x1136b26a870ad6deull);
+    EXPECT_EQ(cache::payloadHash(iota(33)), 0x521a3d6cac97fa0bull);
+    EXPECT_EQ(cache::payloadHash(iota(63)), 0xf1066fb80b19c9bdull);
+}
+
+TEST(BlobStore, MagicSpellsTagInFirstBytes)
+{
+    TempDir dir;
+    const std::string path = dir.path + "/blob";
+    ASSERT_TRUE(cache::writeBlobAtomic(path, cache::kKernelMagic,
+                                       cache::kCacheFormatVersion, "x"));
+    EXPECT_EQ(readFile(path).substr(0, 4), "TLKC");
+    EXPECT_EQ(cache::blobMagic("TLKC"), 0x434b4c54u);
+}
+
+/** Count the single-bit flips at (byte, bit) pairs of @p path that
+    readBlobFile still accepts; the file is restored after each. */
+int
+acceptedFlips(const std::string &path,
+              const std::vector<std::pair<size_t, int>> &flips)
+{
+    const std::string blob = readFile(path);
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    EXPECT_GE(fd, 0);
+    int accepted = 0;
+    for (const auto &[offset, bit] : flips) {
+        const char flipped = static_cast<char>(blob[offset] ^ (1 << bit));
+        EXPECT_EQ(::pwrite(fd, &flipped, 1, offset), 1);
+        std::string payload, why;
+        if (cache::readBlobFile(path, cache::kKernelMagic,
+                                cache::kCacheFormatVersion, &payload,
+                                &why) != cache::BlobRead::kCorrupt) {
+            ADD_FAILURE() << "flip of bit " << bit << " at byte "
+                          << offset << " accepted";
+            ++accepted;
+        }
+        EXPECT_EQ(::pwrite(fd, &blob[offset], 1, offset), 1);
+    }
+    ::close(fd);
+    return accepted;
+}
+
+TEST(BlobStore, EverySingleBitFlipOfASmallBlobIsRejected)
+{
+    TempDir dir;
+    const std::string path = dir.path + "/small.lirk";
+    const lir::Kernel kernel =
+        compiler::compile(kernels::buildVectorAdd().program, {});
+    ASSERT_TRUE(cache::writeBlobAtomic(path, cache::kKernelMagic,
+                                       cache::kCacheFormatVersion,
+                                       cache::serializeKernel(kernel)));
+    const size_t size = readFile(path).size();
+    ASSERT_LE(size, 4096u);
+    std::vector<std::pair<size_t, int>> flips;
+    for (size_t offset = 0; offset < size; ++offset) // header included
+        for (int bit = 0; bit < 8; ++bit)
+            flips.emplace_back(offset, bit);
+    EXPECT_EQ(acceptedFlips(path, flips), 0);
+    std::string payload, why;
+    EXPECT_EQ(cache::readBlobFile(path, cache::kKernelMagic,
+                                  cache::kCacheFormatVersion, &payload,
+                                  &why),
+              cache::BlobRead::kHit); // restored intact
+}
+
+TEST(BlobStore, LargeBlobFlipsAtEveryStripeOffsetAndTailAreRejected)
+{
+    TempDir dir;
+    const std::string path = dir.path + "/large.lirk";
+    const std::string payload = cache::serializeKernel(compiler::compile(
+        kernels::buildMatmul(tensorCoreConfig(uint4())).main_program,
+        {}));
+    ASSERT_TRUE(cache::writeBlobAtomic(path, cache::kKernelMagic,
+                                       cache::kCacheFormatVersion,
+                                       payload));
+    const size_t header = readFile(path).size() - payload.size();
+    const size_t tail = payload.size() % 32; // bytes after the stripes
+    ASSERT_GT(payload.size(), 4096u);
+    ASSERT_GT(tail, 0u);
+    std::vector<std::pair<size_t, int>> flips;
+    // One flip at each offset mod 32, in a stripe mid-payload.
+    const size_t stripe = header + (payload.size() / 64) * 32;
+    for (size_t r = 0; r < 32; ++r)
+        flips.emplace_back(stripe + r, static_cast<int>(r % 8));
+    // Every bit of the sub-word tail (8-byte words, 4-byte word, bytes).
+    for (size_t offset = header + payload.size() - tail;
+         offset < header + payload.size(); ++offset)
+        for (int bit = 0; bit < 8; ++bit)
+            flips.emplace_back(offset, bit);
+    EXPECT_EQ(acceptedFlips(path, flips), 0);
+}
+
+TEST(BlobStore, DirectoryAndShortFilesAreCorruptNotCrashes)
+{
+    TempDir dir;
+    std::string payload, why;
+    auto read = [&](const std::string &path) {
+        why.clear();
+        return cache::readBlobFile(path, cache::kKernelMagic,
+                                   cache::kCacheFormatVersion, &payload,
+                                   &why);
+    };
+    EXPECT_EQ(read(dir.path + "/absent"), cache::BlobRead::kMissing);
+    EXPECT_EQ(read(dir.path), cache::BlobRead::kCorrupt); // a directory
+    EXPECT_FALSE(why.empty());
+
+    const std::string path = dir.path + "/entry";
+    ASSERT_TRUE(cache::writeBlobAtomic(path, cache::kKernelMagic,
+                                       cache::kCacheFormatVersion,
+                                       iota(200)));
+    const std::string blob = readFile(path);
+    writeFile(path, blob.substr(0, blob.size() - 1)); // shorter than
+    EXPECT_EQ(read(path), cache::BlobRead::kCorrupt); // its header says
+    EXPECT_EQ(why, "truncated payload");
+    writeFile(path, blob.substr(0, 10));
+    EXPECT_EQ(read(path), cache::BlobRead::kCorrupt);
+    EXPECT_EQ(why, "truncated header");
+    writeFile(path, "");
+    EXPECT_EQ(read(path), cache::BlobRead::kCorrupt);
+    EXPECT_EQ(why, "truncated header");
+    writeFile(path, blob);
+    EXPECT_EQ(read(path), cache::BlobRead::kHit);
+    EXPECT_EQ(payload, iota(200));
+}
+
+TEST(BlobStore, ByteReaderOverrunClearsOkAndReturnsZeros)
+{
+    std::string bytes;
+    cache::putU32(bytes, 0x01020304u);
+    EXPECT_EQ(bytes, std::string("\x04\x03\x02\x01", 4)); // little-endian
+    cache::putU8(bytes, 0xee);
+    {
+        cache::ByteReader r(bytes);
+        EXPECT_EQ(r.u32(), 0x01020304u);
+        EXPECT_EQ(r.u64(), 0u); // 1 byte left: overrun
+        EXPECT_FALSE(r.ok());
+        EXPECT_FALSE(r.atEnd());
+    }
+    {
+        cache::ByteReader r(bytes.substr(0, 3));
+        EXPECT_EQ(r.u32(), 0u);
+        EXPECT_EQ(r.f64(), 0.0);
+        EXPECT_FALSE(r.ok());
+    }
+    {
+        cache::ByteReader r(bytes);
+        EXPECT_EQ(r.u32(), 0x01020304u);
+        EXPECT_EQ(r.u8(), 0xee);
+        EXPECT_EQ(r.u8(), 0); // past the end
+        EXPECT_FALSE(r.ok());
+    }
+}
+
+TEST(KernelCache, OldHashEntryIsRecompiledAndOverwritten)
+{
+    TempDir dir;
+    const ir::Program program =
+        kernels::buildMatmul(tensorCoreConfig(uint4())).main_program;
+    const cache::Fingerprint fp = cache::fingerprintProgram(program, {});
+    const std::string payload =
+        cache::serializeKernel(compiler::compile(program, {}));
+
+    cache::KernelCache disk(dir.path);
+    const std::string path = disk.entryPath(fp);
+    writeFile(path, oldFormatBlob(0x544c4b43 /* the old "TLKC" */,
+                                  cache::kCacheFormatVersion, payload));
+
+    runtime::Runtime rt(sim::l40s());
+    rt.setDiskCache(&disk);
+    rt.getOrCompile(program, {});
+    EXPECT_EQ(rt.compileCount(), 1); // the old entry is a miss
+    EXPECT_EQ(rt.diskLoadCount(), 0);
+    EXPECT_EQ(disk.stats().disk_errors, 1);
+    EXPECT_EQ(disk.stats().stores, 1);
+
+    // The recompiled kernel replaced it with a valid entry.
+    EXPECT_EQ(readFile(path).substr(0, 4), "TLKC");
+    std::string reread, why;
+    EXPECT_EQ(cache::readBlobFile(path, cache::kKernelMagic,
+                                  cache::kCacheFormatVersion, &reread,
+                                  &why),
+              cache::BlobRead::kHit);
+    EXPECT_EQ(reread, payload);
+    cache::KernelCache restarted(dir.path);
+    EXPECT_NE(restarted.load(fp), nullptr);
+    EXPECT_EQ(restarted.stats().disk_errors, 0);
 }
 
 // --------------------------------------------------- runtime integration
@@ -519,19 +751,12 @@ TEST(TuneDb, CorruptRecordDegradesToMiss)
     EXPECT_EQ(loaded->candidates_tried, 7);
 
     const std::string path = db.entryPath(key);
-    std::string blob;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream oss;
-        oss << in.rdbuf();
-        blob = oss.str();
-    }
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        << blob.substr(0, blob.size() / 2);
+    const std::string blob = readFile(path);
+    writeFile(path, blob.substr(0, blob.size() / 2));
     EXPECT_FALSE(db.load(key).has_value());
     std::string corrupt = blob;
     corrupt[corrupt.size() - 4] ^= 0x11;
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << corrupt;
+    writeFile(path, corrupt);
     EXPECT_FALSE(db.load(key).has_value());
     EXPECT_EQ(db.stats().disk_errors, 2);
 }
@@ -707,16 +932,10 @@ TEST(CacheFaults, ConcurrentCorruptReadersDegradeToOneRecompile)
     {
         // Flip a payload byte on disk so every load rejects the entry.
         const std::string path = disk.entryPath(fp);
-        std::string blob;
-        {
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream oss;
-            oss << in.rdbuf();
-            blob = oss.str();
-        }
+        std::string blob = readFile(path);
         ASSERT_GT(blob.size(), 10u);
         blob[blob.size() - 10] ^= 0x40;
-        std::ofstream(path, std::ios::binary | std::ios::trunc) << blob;
+        writeFile(path, blob);
     }
 
     runtime::Runtime rt(sim::l40s());
@@ -833,11 +1052,8 @@ TEST(ConcurrentTuners, PoolWidthInvariant)
         for (size_t i = 0; i < before.size(); ++i)
             out.deltas.push_back(registry.counterValue(counters[i]) -
                                  before[i]);
-        std::ifstream in(db.entryPath(autotune::tuneKey(req, rt.spec())),
-                         std::ios::binary);
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
-        out.record_bytes = bytes.str();
+        out.record_bytes =
+            readFile(db.entryPath(autotune::tuneKey(req, rt.spec())));
         return out;
     };
     const Outcome serial = sweepAt(1);

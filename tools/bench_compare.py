@@ -105,6 +105,10 @@ SPECS = {
             # ones its runtime's memo builds.
             ("engine_tune.tid_tables", "equal", 0),
             ("engine_tune.tid_tables_built", "equal", 0),
+            # A retune (tune database emptied, kernel store kept)
+            # compiles nothing and loads the whole tuning space.
+            ("engine_tune.retune_compiles", "equal", 0),
+            ("engine_tune.retune_disk_loads", "equal", 0),
         ],
     },
     "serving": {
